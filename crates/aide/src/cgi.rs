@@ -84,18 +84,18 @@ pub fn urldecode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() + 1 && i + 3 <= bytes.len() => {
-                match u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                    Ok(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    Err(_) => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            // Hex digits are read as bytes: slicing `s` after a `%` could
+            // split a multi-byte character.
+            b'%' => match (hex_val(bytes.get(i + 1)), hex_val(bytes.get(i + 2))) {
+                (Some(hi), Some(lo)) => {
+                    out.push((hi << 4) | lo);
+                    i += 3;
                 }
-            }
+                _ => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b => {
                 out.push(b);
                 i += 1;
@@ -103,6 +103,10 @@ pub fn urldecode(s: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+fn hex_val(b: Option<&u8>) -> Option<u8> {
+    char::from(*b?).to_digit(16).map(|d| d as u8)
 }
 
 /// Parses a query string (`op=diff&url=http%3A%2F%2Fx%2F`).
@@ -302,6 +306,11 @@ mod tests {
         assert_eq!(urldecode("100%"), "100%");
         assert_eq!(urldecode("%ZZ"), "%ZZ");
         assert_eq!(urldecode(""), "");
+        // A non-ASCII character after `%` is not a hex digit (and must
+        // not be sliced through).
+        assert_eq!(urldecode("%aé"), "%aé");
+        assert_eq!(urldecode("%é"), "%é");
+        assert_eq!(parse_query("op=co&url=%aé").params["url"], "%aé");
     }
 
     #[test]

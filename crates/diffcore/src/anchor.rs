@@ -29,19 +29,11 @@
 //!    pair has to be discarded to keep anchors mutually non-crossing,
 //!    the input transposed content across other matches — the one
 //!    regime where forcing anchors can lose weight — and the whole
-//!    region is aligned as a single gap instead. When *no* unique pair
-//!    survives (full-replacement pages), a secondary rescue retries on
-//!    rare-but-not-unique hashes confirmed by runs of consecutive
-//!    verified-identical pairs — see [`AnchorConfig::rescue_max_freq`].
+//!    region is aligned as a single gap instead.
 //! 3. **Align the gaps** between consecutive anchors independently with
-//!    the weighted LCS, each gap scored through a flat dense memo keyed
-//!    by gap-local indices. Gaps whose tokens all match with weight ≤ 1
-//!    (runs of sentence-breaking markup) and which are large enough to
-//!    matter run a *banded* DP whose band width comes from a Myers
-//!    pre-pass — `O((N+M)·D)` cells instead of `O(N·M)` — with the same
-//!    backtrack rule, so even its tie-breaks match the full DP.
-//!    Independent gaps can score concurrently via
-//!    [`aide_util::sync::parallel_map`].
+//!    [`weighted_lcs_memoized`], which picks the full DP, the memoized
+//!    replay, or the plain replay by gap size — all with the same
+//!    canonical backtrack.
 //!
 //! # Exactness
 //!
@@ -67,8 +59,8 @@
 //! edit-structured revisions confirmed anchors blanket the unchanged
 //! majority of the page (measured ≥ 570‰ across the workload edit
 //! models), while replacement-churn middles measure under 100‰ and fall
-//! through to the single-gap exact alignment, whose dense, banded, and
-//! Hirschberg paths all replay the canonical backtrack by construction.
+//! through to the single-gap exact alignment, whose tiers all replay the
+//! canonical backtrack by construction.
 //! Callers that need the naive path unconditionally (ablation
 //! experiments counting score probes) must bypass this module — in
 //! HtmlDiff, via `CompareOptions::force_naive`.
@@ -78,37 +70,20 @@
 //! or anchor decision, so a hash collision can degrade the decomposition
 //! but never corrupt the alignment.
 
-use crate::hirschberg::weighted_lcs_hirschberg;
-use crate::lcs::weighted_lcs;
-use crate::myers::myers_diff;
-use crate::scratch;
-use aide_util::sync::parallel_map;
-use std::cell::Cell;
+use crate::lcs::{weighted_lcs_memoized, LcsTier};
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// Tunables for [`anchored_weighted_lcs`].
+/// Tunables for [`anchored_weighted_lcs`]. Production uses the default;
+/// the fields exist so tests can force the decomposition on tiny inputs
+/// or switch the density gate off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnchorConfig {
     /// Middle regions of at most this many DP cells skip anchoring and
     /// run a single gap DP directly.
     pub small_cells: usize,
-    /// Unit-weight gaps larger than this many cells try the banded DP.
-    pub myers_min_cells: usize,
-    /// Worker threads for scoring independent gaps (1 = inline/serial).
-    pub workers: usize,
-    /// When no unique-hash anchor survives, retry anchoring on hashes
-    /// occurring the same number of times on both sides, up to this
-    /// frequency ("secondary-anchor rescue"). `< 2` disables rescue.
-    pub rescue_max_freq: u32,
-    /// A rescue candidate must sit inside a run of at least this many
-    /// consecutive verified-identical pairs (with at least one on each
-    /// side), so only shared structural material — headers, footers,
-    /// navigation — can rescue-anchor, never a coincidental repeat.
-    pub rescue_min_run: usize,
-    /// Anchors (unique or rescue) are *forced* into the alignment only
-    /// when they cover at least this many permille of the shorter middle
-    /// side. Below the gate the middle aligns as one exact gap instead:
+    /// Anchors are *forced* into the alignment only when they cover at
+    /// least this many permille of the shorter middle side. Below the gate the middle aligns as one exact gap instead:
     /// in anchor-sparse churn the weighted DP can legitimately route
     /// around any individual verified pair (a chain of partial sentence
     /// matches outweighs it), so forcing sparse anchors risks diverging
@@ -120,10 +95,6 @@ impl Default for AnchorConfig {
     fn default() -> Self {
         AnchorConfig {
             small_cells: 1 << 12,
-            myers_min_cells: 1 << 12,
-            workers: 1,
-            rescue_max_freq: 3,
-            rescue_min_run: 3,
             min_density_permille: 300,
         }
     }
@@ -147,15 +118,11 @@ pub struct AnchorStats {
     pub gap_cells: usize,
     /// Cells the naive full DP would have evaluated (`n·m`).
     pub full_cells: usize,
-    /// Anchors recovered by the secondary (rare-hash) rescue after every
-    /// unique-hash anchor died.
-    pub rescue_anchors: usize,
-    /// Gaps aligned through the dense flat memo.
+    /// Gaps aligned by the full DP or the memoized replay
+    /// ([`LcsTier::Dense`]).
     pub dense_gaps: usize,
-    /// Gaps aligned by the banded (Myers-bounded) DP.
-    pub banded_gaps: usize,
-    /// Gaps aligned by the linear-space Hirschberg replay (too large for
-    /// the dense memo).
+    /// Gaps aligned by the unmemoized linear-space replay, too large for
+    /// the dense memo ([`LcsTier::Replay`]).
     pub hirschberg_gaps: usize,
     /// Confirmed anchors withheld by the density gate
     /// ([`AnchorConfig::min_density_permille`]); the middle was aligned
@@ -178,38 +145,26 @@ impl AnchorStats {
     }
 }
 
-/// Dense-memo size cap per gap; larger gaps fall back to the
-/// linear-space Hirschberg replay (unmemoized) so memory stays bounded
-/// on pathological inputs.
-const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
-
 /// Computes a maximum-weight alignment of `0..a_ids.len()` against
 /// `0..b_ids.len()` by anchored decomposition.
 ///
 /// * `a_ids` / `b_ids` — per-token class hashes. Equal ids must be
 ///   necessary for the tokens to be interchangeable (identical content,
 ///   maximal mutual match weight); `verify_eq(i, j)` confirms it.
-/// * `a_unit` / `b_unit` — true for tokens that can only match with
-///   weight ≤ 1 (enables the banded fallback on all-unit gaps).
 /// * `score` — the pairwise weight function, shared with the naive DP.
-///   Must be pure; it may be called from several threads when
-///   `cfg.workers > 1`.
+///   Must be pure.
 ///
 /// Returns the matched pairs (strictly increasing in both components)
 /// and decomposition statistics.
 pub fn anchored_weighted_lcs(
     a_ids: &[u64],
     b_ids: &[u64],
-    a_unit: &[bool],
-    b_unit: &[bool],
     cfg: &AnchorConfig,
-    score: &(impl Fn(usize, usize) -> u64 + Sync),
-    verify_eq: &(impl Fn(usize, usize) -> bool + Sync),
+    score: &impl Fn(usize, usize) -> u64,
+    verify_eq: &impl Fn(usize, usize) -> bool,
 ) -> (Vec<(usize, usize)>, AnchorStats) {
     let n = a_ids.len();
     let m = b_ids.len();
-    assert_eq!(n, a_unit.len(), "a_unit must parallel a_ids");
-    assert_eq!(m, b_unit.len(), "b_unit must parallel b_ids");
     let mut stats = AnchorStats {
         full_cells: n.saturating_mul(m),
         ..AnchorStats::default()
@@ -236,28 +191,17 @@ pub fn anchored_weighted_lcs(
 
     if !mid_a.is_empty() && !mid_b.is_empty() {
         let cells = mid_a.len().saturating_mul(mid_b.len());
-        let mut anchors = if cells <= cfg.small_cells {
-            Vec::new()
-        } else {
+        let mut anchors = Vec::new();
+        if cells > cfg.small_cells {
             let (chain, crossed) =
                 find_anchors(a_ids, b_ids, mid_a.clone(), mid_b.clone(), verify_eq);
             stats.crossed_anchors = crossed;
-            if crossed > 0 {
-                // Transposed content: forcing any of these anchors could
-                // cost weight the full DP would keep. One gap, no forcing.
-                Vec::new()
-            } else if chain.is_empty() && cfg.rescue_max_freq >= 2 {
-                // Every unique hash died (full-replacement pages): retry
-                // on rare-but-not-unique hashes before surrendering the
-                // whole middle to one giant gap DP.
-                let rescue =
-                    find_rescue_anchors(a_ids, b_ids, mid_a.clone(), mid_b.clone(), cfg, verify_eq);
-                stats.rescue_anchors = rescue.len();
-                rescue
-            } else {
-                chain
+            // Transposed content: forcing any of these anchors could cost
+            // weight the full DP would keep. One gap, no forcing.
+            if crossed == 0 {
+                anchors = chain;
             }
-        };
+        }
         // Density gate: forcing anchors is only trusted in the
         // anchor-dense regime (edit-structured revisions, where confirmed
         // anchors blanket the unchanged material). A sparse chain amid
@@ -270,7 +214,6 @@ pub fn anchored_weighted_lcs(
             && anchors.len() * 1000 < cfg.min_density_permille as usize * min_side
         {
             stats.gated_anchors = anchors.len();
-            stats.rescue_anchors = 0;
             anchors = Vec::new();
         }
         stats.anchors = anchors.len();
@@ -293,32 +236,23 @@ pub fn anchored_weighted_lcs(
             .map(|(a, b)| a.len().saturating_mul(b.len()))
             .sum();
 
-        // 3. Score the gaps (concurrently when configured); results come
-        // back in gap order so the stitched alignment is deterministic.
-        let gap_pairs = parallel_map(&gaps, cfg.workers, |_, (ra, rb)| {
-            align_gap(
-                ra.clone(),
-                rb.clone(),
-                a_ids,
-                b_ids,
-                a_unit,
-                b_unit,
-                cfg,
-                score,
-                verify_eq,
-            )
-        });
-
-        // Stitch: gap k precedes anchor k; the final gap follows the last
-        // anchor.
-        for (k, (mut chunk, path)) in gap_pairs.into_iter().enumerate() {
-            match path {
-                GapPath::Empty => {}
-                GapPath::Dense => stats.dense_gaps += 1,
-                GapPath::Banded => stats.banded_gaps += 1,
-                GapPath::Hirschberg => stats.hirschberg_gaps += 1,
+        // 3. Align each gap and stitch: gap k precedes anchor k; the
+        // final gap follows the last anchor.
+        for (k, (ra, rb)) in gaps.into_iter().enumerate() {
+            if !ra.is_empty() && !rb.is_empty() {
+                let (gap_pairs, tier) = weighted_lcs_memoized(ra.len(), rb.len(), &|gi, gj| {
+                    score(ra.start + gi, rb.start + gj)
+                });
+                match tier {
+                    LcsTier::Dense => stats.dense_gaps += 1,
+                    LcsTier::Replay => stats.hirschberg_gaps += 1,
+                }
+                pairs.extend(
+                    gap_pairs
+                        .into_iter()
+                        .map(|(gi, gj)| (ra.start + gi, rb.start + gj)),
+                );
             }
-            pairs.append(&mut chunk);
             if let Some(&anchor) = anchors.get(k) {
                 pairs.push(anchor);
             }
@@ -423,89 +357,6 @@ fn find_anchors(
     (chain, crossed)
 }
 
-/// Secondary-anchor rescue: anchor pairs drawn from hashes that are
-/// *rare but not unique* — occurring the same number of times (2 to
-/// `rescue_max_freq`) on both sides.
-///
-/// Occurrences are paired positionally (the p-th on one side with the
-/// p-th on the other), verified by `verify_eq`, and kept only when the
-/// pair sits inside a run of at least `rescue_min_run` consecutive
-/// verified-identical pairs with at least one neighbor pair on *each*
-/// side. Real pages that replace their entire body keep shared
-/// structural material — headers, footers, navigation bars — whose
-/// tokens repeat across revisions without being unique; those runs are
-/// exactly what this recovers. A coincidental repeat inside churn has no
-/// surrounding run and is rejected, and — as with unique anchors — any
-/// crossing among survivors means transposed content, in which case
-/// **all** rescue anchors are dropped and the middle stays one exact
-/// gap. The equivalence premise is the same as the unique-anchor one
-/// (edits do not move surviving runs across other surviving runs), with
-/// strictly stronger local evidence; the property and equivalence suites
-/// enforce pair-for-pair DP equality over every edit model, rescue
-/// included.
-fn find_rescue_anchors(
-    a_ids: &[u64],
-    b_ids: &[u64],
-    mid_a: Range<usize>,
-    mid_b: Range<usize>,
-    cfg: &AnchorConfig,
-    verify_eq: &impl Fn(usize, usize) -> bool,
-) -> Vec<(usize, usize)> {
-    let max_freq = cfg.rescue_max_freq as usize;
-    let mut occ_a: HashMap<u64, Vec<usize>> = HashMap::new();
-    for i in mid_a.clone() {
-        occ_a.entry(a_ids[i]).or_default().push(i);
-    }
-    let mut occ_b: HashMap<u64, Vec<usize>> = HashMap::new();
-    for j in mid_b.clone() {
-        occ_b.entry(b_ids[j]).or_default().push(j);
-    }
-    let mut cands: Vec<(usize, usize)> = Vec::new();
-    for (id, pos_a) in &occ_a {
-        if pos_a.len() < 2 || pos_a.len() > max_freq {
-            continue;
-        }
-        let Some(pos_b) = occ_b.get(id) else { continue };
-        if pos_b.len() != pos_a.len() {
-            continue;
-        }
-        for (&i, &j) in pos_a.iter().zip(pos_b) {
-            if verify_eq(i, j) {
-                cands.push((i, j));
-            }
-        }
-    }
-    cands.sort_unstable();
-    cands.dedup();
-    // Run confirmation: count consecutive verified-identical pairs
-    // through the candidate at the same relative offset.
-    let pair_eq = |i: usize, j: usize| a_ids[i] == b_ids[j] && verify_eq(i, j);
-    cands.retain(|&(i, j)| {
-        let mut back = 0usize;
-        while i > mid_a.start + back
-            && j > mid_b.start + back
-            && pair_eq(i - back - 1, j - back - 1)
-        {
-            back += 1;
-        }
-        let mut fwd = 0usize;
-        while i + fwd + 1 < mid_a.end
-            && j + fwd + 1 < mid_b.end
-            && pair_eq(i + fwd + 1, j + fwd + 1)
-        {
-            fwd += 1;
-        }
-        back >= 1 && fwd >= 1 && back + fwd + 1 >= cfg.rescue_min_run
-    });
-    // Positional pairing can itself produce crossings when occurrence
-    // order differs between sides; treat any crossing as transposition.
-    let chain = longest_increasing_chain(&cands);
-    if chain.len() != cands.len() {
-        return Vec::new();
-    }
-    chain
-}
-
 /// Longest subsequence of `cands` (already sorted by first component,
 /// which is strictly increasing) whose second components strictly
 /// increase — patience sorting with parent pointers, `O(k log k)`.
@@ -536,201 +387,18 @@ fn longest_increasing_chain(cands: &[(usize, usize)]) -> Vec<(usize, usize)> {
     chain
 }
 
-/// Which algorithm aligned a gap (aggregated into [`AnchorStats`] and,
-/// upstream, the `diff.fallback.*` observability counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GapPath {
-    /// One side of the gap was empty; nothing to align.
-    Empty,
-    /// Dense flat memo (possibly walked by the linear-space replay, but
-    /// memory is bounded by the dense memo).
-    Dense,
-    /// Banded (Myers-bounded) DP.
-    Banded,
-    /// Linear-space Hirschberg replay, unmemoized: the gap was too large
-    /// for any dense memo.
-    Hirschberg,
-}
-
-/// Aligns one gap, returning absolute-index pairs and the path taken.
-#[allow(clippy::too_many_arguments)]
-fn align_gap(
-    ra: Range<usize>,
-    rb: Range<usize>,
-    a_ids: &[u64],
-    b_ids: &[u64],
-    a_unit: &[bool],
-    b_unit: &[bool],
-    cfg: &AnchorConfig,
-    score: &impl Fn(usize, usize) -> u64,
-    verify_eq: &impl Fn(usize, usize) -> bool,
-) -> (Vec<(usize, usize)>, GapPath) {
-    let gn = ra.len();
-    let gm = rb.len();
-    if gn == 0 || gm == 0 {
-        return (Vec::new(), GapPath::Empty);
-    }
-    let cells = gn.saturating_mul(gm);
-
-    // Banded fallback: a big gap where every token on both sides matches
-    // with weight ≤ 1 is a plain equality diff; a Myers pre-pass bounds
-    // the band the optimal paths can occupy, and a DP restricted to that
-    // band is O((N+M)·D) with the naive backtrack's exact tie-breaks.
-    if cells > cfg.myers_min_cells && ra.clone().all(|i| a_unit[i]) && rb.clone().all(|j| b_unit[j])
-    {
-        if let Some(pairs) = banded_unit_gap(ra.clone(), rb.clone(), a_ids, b_ids, score, verify_eq)
-        {
-            return (pairs, GapPath::Banded);
-        }
-    }
-
-    let (gap_pairs, path) = if cells <= crate::lcs::DP_CELL_LIMIT {
-        // Small enough for the full-matrix DP, which probes each cell
-        // exactly once in its forward pass; only the backtrack re-probes
-        // (O(gn + gm) cells of a pure score), so a memo would cost more
-        // in fill and checks than the recomputation it avoids.
-        let pairs = weighted_lcs(gn, gm, &|gi, gj| score(ra.start + gi, rb.start + gj));
-        (pairs, GapPath::Dense)
-    } else if cells <= DENSE_MEMO_CELL_LIMIT {
-        // Gap DP through a flat memo keyed by gap-local indices. The
-        // memo matters because the linear-space replay's recursion
-        // revisits cells (a log factor) whose scoring is the expensive
-        // part. The memo buffer is pooled scratch viewed as cells
-        // (`u64::MAX` = unscored) so back-to-back diffs reuse the
-        // allocation.
-        let mut memo_buf = scratch::take_u64_buf();
-        memo_buf.resize(cells, u64::MAX);
-        let memo = Cell::from_mut(memo_buf.as_mut_slice()).as_slice_of_cells();
-        let gscore = |gi: usize, gj: usize| {
-            let c = &memo[gi * gm + gj];
-            if c.get() == u64::MAX {
-                c.set(score(ra.start + gi, rb.start + gj));
-            }
-            c.get()
-        };
-        let pairs = weighted_lcs(gn, gm, &gscore);
-        scratch::give_u64_buf(memo_buf);
-        (pairs, GapPath::Dense)
-    } else {
-        // Too large for any dense memo: the linear-space replay, scoring
-        // cells on demand. It recomputes scores (a log factor in the
-        // worst case) but keeps memory at O(gm·log gn) where the old
-        // hash-map memo grew with every cell the recursion touched —
-        // quadratic on exactly the inputs this path exists for.
-        (
-            weighted_lcs_hirschberg(gn, gm, &|gi, gj| score(ra.start + gi, rb.start + gj)),
-            GapPath::Hirschberg,
-        )
-    };
-    (
-        gap_pairs
-            .into_iter()
-            .map(|(gi, gj)| (ra.start + gi, rb.start + gj))
-            .collect(),
-        path,
-    )
-}
-
-/// Banded DP over an all-unit-weight gap, reproducing the full DP's
-/// alignment exactly.
-///
-/// A Myers diff over the class ids yields `l` verified matches — a lower
-/// bound on the optimum — so every maximum-weight path keeps its
-/// diagonal offset `j - i` within `[-(gn - l), gm - l]`. The DP table is
-/// materialized only inside that band (out-of-band neighbors treated as
-/// unreachable, which can only *under*-estimate cells that lie on no
-/// optimal path), and the backtrack applies the same match/up/left
-/// preference as [`crate::lcs::weighted_lcs_dp`]. Any cell the naive
-/// backtrack would step to satisfies an optimality equality, which
-/// places it on an optimal path and therefore inside the band with an
-/// exact value — so the banded walk makes identical moves. Returns
-/// `None` when the band would not be materially smaller than the full
-/// rectangle (the caller's plain DP is better) or on a band violation
-/// (impossible if `score` is pure; checked defensively).
-fn banded_unit_gap(
-    ra: Range<usize>,
-    rb: Range<usize>,
-    a_ids: &[u64],
-    b_ids: &[u64],
-    score: &impl Fn(usize, usize) -> u64,
-    verify_eq: &impl Fn(usize, usize) -> bool,
-) -> Option<Vec<(usize, usize)>> {
-    let gn = ra.len();
-    let gm = rb.len();
-    let proxy = myers_diff(&a_ids[ra.clone()], &b_ids[rb.clone()]);
-    let l = proxy
-        .iter()
-        .filter(|&&(i, j)| verify_eq(ra.start + i, rb.start + j))
-        .count();
-    let down = gn - l; // max skipped a-tokens on an optimal path
-    let up = gm - l; // max skipped b-tokens
-    let width = down + up + 1;
-    let band_cells = (gn + 1).checked_mul(width)?;
-    if band_cells.saturating_mul(2) >= gn.saturating_mul(gm) {
-        return None;
-    }
-
-    let lo = |i: usize| i.saturating_sub(down);
-    let hi = |i: usize| (i + up).min(gm);
-    let idx = |i: usize, j: usize| i * width + (j + down - i);
-
-    let mut t = vec![0u64; band_cells];
-    for i in 1..=gn {
-        for j in lo(i)..=hi(i) {
-            let mut best = 0;
-            if j > lo(i) {
-                best = best.max(t[idx(i, j - 1)]); // left
-            }
-            if j < i + up {
-                best = best.max(t[idx(i - 1, j)]); // up
-            }
-            if j > 0 && j + down >= i {
-                let w = score(ra.start + i - 1, rb.start + j - 1);
-                if w > 0 {
-                    best = best.max(t[idx(i - 1, j - 1)] + w); // diagonal
-                }
-            }
-            t[idx(i, j)] = best;
-        }
-    }
-
-    // Backtrack with the naive DP's exact preference order.
-    let mut rev = Vec::new();
-    let (mut i, mut j) = (gn, gm);
-    while i > 0 && j > 0 {
-        let here = t[idx(i, j)];
-        let w = score(ra.start + i - 1, rb.start + j - 1);
-        if w > 0 && j + down >= i && here == t[idx(i - 1, j - 1)] + w {
-            rev.push((ra.start + i - 1, rb.start + j - 1));
-            i -= 1;
-            j -= 1;
-        } else if j < i + up && here == t[idx(i - 1, j)] {
-            i -= 1;
-        } else if j > lo(i) {
-            j -= 1;
-        } else {
-            // The walk left the band: only possible if `score` violated
-            // its purity contract. Let the caller run the plain DP.
-            return None;
-        }
-    }
-    rev.reverse();
-    Some(rev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lcs::{alignment_weight, weighted_lcs_dp};
+    use crate::lcs::{alignment_weight, weighted_lcs_dp, DP_CELL_LIMIT};
+    use std::cell::Cell;
 
     /// Unit-weight equality scoring over id slices, with deep "verify"
     /// that trusts the ids (tests use collision-free ids).
     fn run(a: &[u64], b: &[u64], cfg: &AnchorConfig) -> (Vec<(usize, usize)>, AnchorStats) {
         let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
         let verify = |i: usize, j: usize| a[i] == b[j];
-        let a_unit = vec![true; a.len()];
-        let b_unit = vec![true; b.len()];
-        anchored_weighted_lcs(a, b, &a_unit, &b_unit, cfg, &score, &verify)
+        anchored_weighted_lcs(a, b, cfg, &score, &verify)
     }
 
     fn dp(a: &[u64], b: &[u64]) -> Vec<(usize, usize)> {
@@ -741,7 +409,6 @@ mod tests {
     fn eager() -> AnchorConfig {
         AnchorConfig {
             small_cells: 0,
-            myers_min_cells: usize::MAX,
             ..AnchorConfig::default()
         }
     }
@@ -848,9 +515,7 @@ mod tests {
         let w = |id: u64| if id >= 50 { id - 45 } else { 1 };
         let score = |i: usize, j: usize| if a[i] == b[j] { w(a[i]) } else { 0 };
         let verify = |i: usize, j: usize| a[i] == b[j];
-        let a_unit: Vec<bool> = a.iter().map(|&x| x < 50).collect();
-        let b_unit: Vec<bool> = b.iter().map(|&x| x < 50).collect();
-        let (pairs, _) = anchored_weighted_lcs(&a, &b, &a_unit, &b_unit, &eager(), &score, &verify);
+        let (pairs, _) = anchored_weighted_lcs(&a, &b, &eager(), &score, &verify);
         let dp_pairs = weighted_lcs_dp(a.len(), b.len(), &score);
         assert_eq!(
             alignment_weight(&pairs, &score),
@@ -860,10 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn banded_fallback_is_exact() {
-        // Large all-unit gap with low-entropy churn: force the banded
-        // path with a tiny threshold and demand pair-exact DP output —
-        // the banded walk mirrors the naive backtrack's tie-breaks.
+    fn low_entropy_unit_gap_matches_dp() {
+        // Large all-unit gap with low-entropy churn: no value is unique,
+        // so the middle is one gap whose tie-breaks must be the naive
+        // backtrack's, pair for pair.
         let mut a: Vec<u64> = (0..200).map(|x| x % 3).collect();
         let mut b = a.clone();
         b.insert(50, 9999);
@@ -873,61 +538,14 @@ mod tests {
         b.insert(0, 222);
         a.push(333);
         b.push(444);
-        let cfg = AnchorConfig {
-            small_cells: 0,
-            myers_min_cells: 16,
-            ..AnchorConfig::default()
-        };
-        let (pairs, _) = run(&a, &b, &cfg);
+        let (pairs, _) = run(&a, &b, &eager());
         assert_eq!(pairs, dp(&a, &b));
     }
 
     #[test]
-    fn worker_count_does_not_change_output() {
-        let a: Vec<u64> = (0..300).map(|x| x % 17).collect();
-        let mut b = a.clone();
-        b.splice(40..60, [1000, 1001, 1002]);
-        b.splice(200..200, (0..10).map(|x| 2000 + x));
-        let serial = run(&a, &b, &eager()).0;
-        for workers in [2, 4] {
-            let cfg = AnchorConfig { workers, ..eager() };
-            assert_eq!(run(&a, &b, &cfg).0, serial, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn rescue_anchors_recover_shared_runs() {
-        // Replaced body (all-fresh ids on both sides) framed by a shared
-        // header and footer whose tokens repeat twice per side — never
-        // unique, so the old path saw zero anchors and ran one giant
-        // gap. The shared structure dominates the page (as on real
-        // mostly-boilerplate sites), keeping the rescue chain above the
-        // density gate; the rescue must anchor inside the header/footer
-        // runs and still reproduce the DP exactly.
-        let header = [60u64, 61, 62, 60, 61, 62];
-        let footer = [70u64, 71, 72, 70, 71, 72];
-        let mut a: Vec<u64> = header.to_vec();
-        a.extend(1000..1012u64);
-        a.extend(footer);
-        a.push(900); // distinct tails keep the suffix trim out
-        let mut b: Vec<u64> = header.to_vec();
-        b.extend(2000..2012u64);
-        b.extend(footer);
-        b.push(901);
-        let (pairs, stats) = run(&a, &b, &eager());
-        assert_eq!(pairs, dp(&a, &b));
-        assert!(stats.rescue_anchors > 0, "{stats:?}");
-        assert!(
-            stats.gap_cells < stats.full_cells,
-            "rescue saved no work: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn rescue_rejects_transposed_runs() {
-        // Two repeated runs swap places: positional pairing crosses, so
-        // every rescue anchor must be dropped and the middle aligned as
-        // one exact gap.
+    fn transposed_repeated_runs_match_dp() {
+        // Two repeated runs swap places. Nothing in them is unique, so
+        // nothing anchors and the middle is aligned as one exact gap.
         let run_a = [60u64, 61, 62, 60, 61, 62];
         let run_b = [70u64, 71, 72, 70, 71, 72];
         let mut a: Vec<u64> = run_a.to_vec();
@@ -938,7 +556,7 @@ mod tests {
         b.push(901);
         let (pairs, stats) = run(&a, &b, &eager());
         assert_eq!(pairs, dp(&a, &b));
-        assert_eq!(stats.rescue_anchors, 0, "{stats:?}");
+        assert_eq!(stats.anchors, 0, "{stats:?}");
     }
 
     #[test]
@@ -974,21 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn rescue_disabled_still_matches_dp() {
-        let mut a: Vec<u64> = (0..30).map(|x| 100 + x % 3).collect();
-        let mut b = a.clone();
-        a.push(900);
-        b.push(901);
-        let cfg = AnchorConfig {
-            rescue_max_freq: 0,
-            ..eager()
-        };
-        let (pairs, stats) = run(&a, &b, &cfg);
-        assert_eq!(pairs, dp(&a, &b));
-        assert_eq!(stats.rescue_anchors, 0);
-    }
-
-    #[test]
     fn gap_path_stats_classify_gaps() {
         // A middle too churned to anchor runs exactly one dense gap.
         let a: Vec<u64> = (0..100).map(|x| 1000 + x).collect();
@@ -996,7 +599,37 @@ mod tests {
         let (pairs, stats) = run(&a, &b, &eager());
         assert_eq!(pairs, dp(&a, &b));
         assert_eq!(stats.dense_gaps, 1, "{stats:?}");
-        assert_eq!(stats.banded_gaps, 0, "{stats:?}");
+        assert_eq!(stats.hirschberg_gaps, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn gap_above_dp_limit_runs_the_memoized_replay() {
+        // One 1600×1600 gap (low-entropy streams never anchor; distinct
+        // tails keep the suffix trim out): past DP_CELL_LIMIT, inside
+        // the flat-memo tier. The replay revisits cells, so the memo is
+        // what keeps every cell to a single score call.
+        let n = 1600;
+        let mut a: Vec<u64> = (0..n as u64 - 1).map(|x| (x * x + 3) % 11).collect();
+        let mut b: Vec<u64> = (0..n as u64 - 1).map(|x| (x * 5 + 1) % 11).collect();
+        a.push(9001);
+        b.push(9002);
+        assert!(n * n > DP_CELL_LIMIT);
+        let calls: Vec<Cell<u8>> = (0..n * n).map(|_| Cell::new(0)).collect();
+        let score = |i: usize, j: usize| {
+            let c = &calls[i * n + j];
+            c.set(c.get().saturating_add(1));
+            u64::from(a[i] == b[j])
+        };
+        let verify = |i: usize, j: usize| a[i] == b[j];
+        let (pairs, stats) =
+            anchored_weighted_lcs(&a, &b, &AnchorConfig::default(), &score, &verify);
+        assert_eq!(pairs, dp(&a, &b));
+        assert!(
+            calls.iter().all(|c| c.get() <= 1),
+            "a cell was scored twice"
+        );
+        assert_eq!(stats.gaps, 1, "{stats:?}");
+        assert_eq!(stats.dense_gaps, 1, "{stats:?}");
         assert_eq!(stats.hirschberg_gaps, 0, "{stats:?}");
     }
 

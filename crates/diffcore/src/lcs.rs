@@ -14,14 +14,18 @@
 //!   backtrack — prefer the diagonal, then up, then left — defines the
 //!   *canonical alignment* every other path in the workspace must
 //!   reproduce exactly (DESIGN.md §4e).
-//! - [`weighted_lcs_hirschberg`] (in [`crate::hirschberg`]): a
-//!   divide-and-conquer replay of that same backtrack in `O(m·log n)`
-//!   space ([Hirschberg 1977], the paper's reference \[8\], adapted so
-//!   the output is pair-for-pair identical to the DP rather than merely
-//!   weight-equal), which is what makes sentence-level comparison of
-//!   large documents feasible.
+//! - [`weighted_lcs_hirschberg`]: a divide-and-conquer replay of that
+//!   same backtrack in `O(m·log n)` space ([Hirschberg 1977], the
+//!   paper's reference \[8\], adapted so the output is pair-for-pair
+//!   identical to the DP rather than merely weight-equal), which is what
+//!   makes sentence-level comparison of large documents feasible.
 //!
-//! [`weighted_lcs`] dispatches between them on input size.
+//! This module owns the size decision between them. [`weighted_lcs`]
+//! serves cheap scores: the full DP up to [`DP_CELL_LIMIT`] cells, the
+//! replay above it. [`weighted_lcs_memoized`] serves expensive ones
+//! (HtmlDiff's sentence scores) and adds a middle tier: up to
+//! [`DENSE_MEMO_CELL_LIMIT`] cells the replay runs behind a flat memo,
+//! so the cells its recursion revisits are scored once.
 //!
 //! Scores are supplied by index, `score(i, j) -> u64`, so callers can
 //! memoize expensive pairwise comparisons (HtmlDiff's inner sentence LCS)
@@ -31,10 +35,36 @@
 //! DP tables and score rows come from the [`crate::scratch`] buffer
 //! pool, so back-to-back diffs on one thread reuse their allocations.
 //!
+//! # The replay
+//!
+//! Hirschberg's classic midpoint rule finds *a* maximum-weight
+//! alignment, but which one depends on how score ties are split, and
+//! the equivalence contract is stronger than weight equality. So the
+//! replay keeps the divide-and-conquer shape but walks the canonical
+//! backtrack itself:
+//!
+//! 1. Rows of the DP table are recomputed front-to-back with a single
+//!    rolling row (`O(m)` space), exactly as `weighted_lcs_dp` fills
+//!    its table — the values are identical because the recurrence is.
+//! 2. To backtrack without the table, recurse on rows: materialize the
+//!    middle row `T[mid][·]` from the current checkpoint row, replay the
+//!    backtrack through the *upper* half first, and observe the column
+//!    `j_mid` at which the walk crosses row `mid`. That column is exact,
+//!    not estimated: the walk above it made every decision against true
+//!    table values. Then recurse on the lower half from `(mid, j_mid)`.
+//! 3. A height-one strip walks left through the row making the canonical
+//!    diagonal/up/left decisions against the two exact rows it holds.
+//!
+//! Every decision consults true `T` values, so the emitted pairs are the
+//! canonical backtrack's by construction. One checkpoint row lives per
+//! recursion level — `O(m · log n)` space against the table's `O(n·m)`;
+//! time is `O(n·m·log n)` in the worst case, though the column range
+//! shrinks at every lower-half step so the observed constant is small.
+//!
 //! [Hirschberg 1977]: https://doi.org/10.1145/322033.322044
 
-pub use crate::hirschberg::weighted_lcs_hirschberg;
 use crate::scratch;
+use std::cell::Cell;
 
 /// Scores a pair of tokens; `0` means no match.
 ///
@@ -51,9 +81,24 @@ impl<A: ?Sized, B: ?Sized, F: Fn(&A, &B) -> u64> Scorer<A, B> for F {
     }
 }
 
-/// Size (in matrix cells) below which the full DP is used by
-/// [`weighted_lcs`]. Above it, the linear-space Hirschberg replay runs.
+/// Size (in matrix cells) up to which the full DP runs. Above it, the
+/// linear-space replay runs.
 pub const DP_CELL_LIMIT: usize = 1 << 21;
+
+/// Size (in matrix cells) up to which [`weighted_lcs_memoized`] puts a
+/// flat memo behind the replay. Above it the replay scores cells on
+/// demand, so memory stays bounded on pathological inputs.
+pub const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
+
+/// Which tier [`weighted_lcs_memoized`] aligned an input with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LcsTier {
+    /// The full DP table, or the replay behind the flat memo: every cell
+    /// is scored once.
+    Dense,
+    /// The unmemoized replay: too large for any dense memo.
+    Replay,
+}
 
 /// Computes a maximum-weight alignment of `0..n` against `0..m`.
 ///
@@ -85,6 +130,44 @@ pub fn weighted_lcs(
     } else {
         weighted_lcs_hirschberg(n, m, score)
     }
+}
+
+/// [`weighted_lcs`] for scores that are expensive to evaluate, with the
+/// tier that ran.
+///
+/// Up to [`DP_CELL_LIMIT`] cells the full DP probes each cell exactly
+/// once in its forward pass (the backtrack re-probes only `O(n + m)`
+/// cells), so it needs no memo. Up to [`DENSE_MEMO_CELL_LIMIT`] the
+/// replay runs behind a flat memo, because its recursion revisits cells
+/// (a log factor) whose scoring is the expensive part. Above that, the
+/// replay scores on demand. All three emit the same pairs.
+pub fn weighted_lcs_memoized(
+    n: usize,
+    m: usize,
+    score: &impl Fn(usize, usize) -> u64,
+) -> (Vec<(usize, usize)>, LcsTier) {
+    let cells = n.saturating_mul(m);
+    if cells <= DP_CELL_LIMIT {
+        return (weighted_lcs_dp(n, m, score), LcsTier::Dense);
+    }
+    if cells > DENSE_MEMO_CELL_LIMIT {
+        return (weighted_lcs_hirschberg(n, m, score), LcsTier::Replay);
+    }
+    // The memo buffer is pooled scratch viewed as cells (`u64::MAX` =
+    // unscored).
+    let mut memo_buf = scratch::take_u64_buf();
+    memo_buf.resize(cells, u64::MAX);
+    let memo = Cell::from_mut(memo_buf.as_mut_slice()).as_slice_of_cells();
+    let memoized = |i: usize, j: usize| {
+        let c = &memo[i * m + j];
+        if c.get() == u64::MAX {
+            c.set(score(i, j));
+        }
+        c.get()
+    };
+    let pairs = weighted_lcs_hirschberg(n, m, &memoized);
+    scratch::give_u64_buf(memo_buf);
+    (pairs, LcsTier::Dense)
 }
 
 /// Convenience wrapper: maximum-weight alignment of two slices under a
@@ -150,6 +233,133 @@ pub fn alignment_weight(pairs: &[(usize, usize)], score: &impl Fn(usize, usize) 
     pairs.iter().map(|&(i, j)| score(i, j)).sum()
 }
 
+/// Linear-space weighted LCS, pair-identical to [`weighted_lcs_dp`]
+/// (see the module docs for how the replay works).
+///
+/// Returns matched index pairs, strictly increasing in both components,
+/// in exactly the order and composition the full-table DP's canonical
+/// backtrack would produce.
+///
+/// # Examples
+///
+/// ```
+/// use aide_diffcore::lcs::{weighted_lcs_dp, weighted_lcs_hirschberg};
+///
+/// let a = [7u64, 1, 7, 2];
+/// let b = [7u64, 2];
+/// let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
+/// let hi = weighted_lcs_hirschberg(a.len(), b.len(), &score);
+/// assert_eq!(hi, weighted_lcs_dp(a.len(), b.len(), &score));
+/// assert_eq!(hi, vec![(2, 0), (3, 1)]);
+/// ```
+pub fn weighted_lcs_hirschberg(
+    n: usize,
+    m: usize,
+    score: &impl Fn(usize, usize) -> u64,
+) -> Vec<(usize, usize)> {
+    if n == 0 || m == 0 {
+        return Vec::new();
+    }
+    let mut row0 = scratch::take_u64_buf();
+    row0.resize(m + 1, 0);
+    // Pairs are emitted in backtrack order (descending); reverse at the
+    // end, exactly as the dense DP does.
+    let mut out = Vec::new();
+    replay(0, n, m, &row0, score, &mut out);
+    scratch::give_u64_buf(row0);
+    out.reverse();
+    out
+}
+
+/// Rolls the canonical DP rows forward in place: on entry `row` holds
+/// `T[a_lo][0..=j_end]`, on exit `T[a_hi][0..=j_end]`. Identical
+/// recurrence to `weighted_lcs_dp` (values in column `j` never depend on
+/// columns `> j`, so truncating at `j_end` is exact).
+fn roll_rows(
+    a_lo: usize,
+    a_hi: usize,
+    j_end: usize,
+    score: &impl Fn(usize, usize) -> u64,
+    row: &mut [u64],
+) {
+    for i in a_lo..a_hi {
+        let mut diag = row[0];
+        for j in 1..=j_end {
+            let up = row[j];
+            let mut best = up.max(row[j - 1]);
+            let w = score(i, j - 1);
+            if w > 0 {
+                best = best.max(diag + w);
+            }
+            diag = up;
+            row[j] = best;
+        }
+    }
+}
+
+/// Replays the canonical backtrack through rows `i0..i1`, entering at
+/// column `j_end` on row `i1` with `row_i0` holding the exact
+/// `T[i0][0..=j_end]`. Emits pairs in descending order and returns the
+/// column at which the walk crosses row `i0` (0 once the walk has
+/// terminated against the left edge).
+fn replay(
+    i0: usize,
+    i1: usize,
+    j_end: usize,
+    row_i0: &[u64],
+    score: &impl Fn(usize, usize) -> u64,
+    out: &mut Vec<(usize, usize)>,
+) -> usize {
+    if j_end == 0 || i1 <= i0 {
+        // The canonical backtrack stops at either edge.
+        return j_end;
+    }
+    if i1 == i0 + 1 {
+        let mut row_hi = scratch::take_u64_buf();
+        row_hi.extend_from_slice(&row_i0[..=j_end]);
+        roll_rows(i0, i1, j_end, score, &mut row_hi);
+        let crossing = walk_strip(i0, row_i0, &row_hi, j_end, score, out);
+        scratch::give_u64_buf(row_hi);
+        return crossing;
+    }
+    let mid = i0 + (i1 - i0) / 2;
+    let mut row_mid = scratch::take_u64_buf();
+    row_mid.extend_from_slice(&row_i0[..=j_end]);
+    roll_rows(i0, mid, j_end, score, &mut row_mid);
+    let j_mid = replay(mid, i1, j_end, &row_mid, score, out);
+    scratch::give_u64_buf(row_mid);
+    replay(i0, mid, j_mid, row_i0, score, out)
+}
+
+/// The height-one base case: the canonical backtrack confined to row
+/// `i0 + 1`, walking left from column `j` until it takes a diagonal or
+/// up step into row `i0` (returning the crossing column) or exhausts the
+/// row (returning 0). `row_lo`/`row_hi` hold exact `T[i0][·]` /
+/// `T[i0+1][·]` values, so each comparison is the one the dense
+/// backtrack performs.
+fn walk_strip(
+    i0: usize,
+    row_lo: &[u64],
+    row_hi: &[u64],
+    mut j: usize,
+    score: &impl Fn(usize, usize) -> u64,
+    out: &mut Vec<(usize, usize)>,
+) -> usize {
+    while j > 0 {
+        let here = row_hi[j];
+        let w = score(i0, j - 1);
+        if w > 0 && here == row_lo[j - 1] + w {
+            out.push((i0, j - 1));
+            return j - 1;
+        }
+        if here == row_lo[j] {
+            return j;
+        }
+        j -= 1;
+    }
+    0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +377,12 @@ mod tests {
             }
             last = Some((i, j));
         }
+    }
+
+    fn check_identical(n: usize, m: usize, score: &impl Fn(usize, usize) -> u64, tag: &str) {
+        let dp = weighted_lcs_dp(n, m, score);
+        let hi = weighted_lcs_hirschberg(n, m, score);
+        assert_eq!(hi, dp, "{tag}: hirschberg diverged from the dense DP");
     }
 
     #[test]
@@ -313,6 +529,98 @@ mod tests {
         assert!(pairs.is_empty());
         let pairs = weighted_lcs_hirschberg(5, 5, &|_, _| 0);
         assert!(pairs.is_empty());
+    }
+
+    #[test]
+    fn empty_and_degenerate() {
+        assert!(weighted_lcs_hirschberg(0, 5, &|_, _| 1).is_empty());
+        assert!(weighted_lcs_hirschberg(5, 0, &|_, _| 1).is_empty());
+        check_identical(1, 1, &|_, _| 1, "1x1 match");
+        check_identical(1, 1, &|_, _| 0, "1x1 mismatch");
+        check_identical(1, 7, &|_, j| [2u64, 7, 3, 7, 1, 0, 7][j], "single row ties");
+        check_identical(
+            7,
+            1,
+            &|i, _| [0u64, 3, 3, 1, 3, 0, 2][i],
+            "single column ties",
+        );
+    }
+
+    #[test]
+    fn all_identical_tokens_tiebreak_like_dp() {
+        // Every cell matches with equal weight: tie-break torture. The
+        // dense backtrack has one canonical answer; the replay must
+        // reproduce it exactly.
+        for (n, m) in [(3, 3), (2, 6), (6, 2), (8, 5)] {
+            check_identical(n, m, &|_, _| 1, "uniform ones");
+            check_identical(n, m, &|_, _| 4, "uniform fours");
+        }
+    }
+
+    #[test]
+    fn prefix_repeat_counter_example() {
+        // [7,1,7,2] vs [7,2]: the canonical backtrack pairs the *second*
+        // 7 — the case that broke greedy prefix trimming must not break
+        // the replay either.
+        let a = [7u64, 1, 7, 2];
+        let b = [7u64, 2];
+        let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
+        let hi = weighted_lcs_hirschberg(a.len(), b.len(), &score);
+        assert_eq!(hi, vec![(2, 0), (3, 1)]);
+        check_identical(a.len(), b.len(), &score, "prefix repeat");
+    }
+
+    #[test]
+    fn zero_scores_emit_nothing() {
+        assert!(weighted_lcs_hirschberg(9, 9, &|_, _| 0).is_empty());
+    }
+
+    #[test]
+    fn randomized_equality_scores_match_dp_pairs() {
+        let mut state = 0x5EED_CAFEu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for trial in 0..60 {
+            let n = 1 + next() % 50;
+            let m = 1 + next() % 50;
+            let a: Vec<usize> = (0..n).map(|_| next() % 4).collect();
+            let b: Vec<usize> = (0..m).map(|_| next() % 4).collect();
+            let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
+            check_identical(n, m, &score, &format!("eq trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn randomized_weighted_scores_match_dp_pairs() {
+        let mut state = 0xD1CEu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for trial in 0..60 {
+            let n = 1 + next() % 30;
+            let m = 1 + next() % 30;
+            // Dense weight matrices with many ties (small alphabet of
+            // weights, lots of zeros) stress every backtrack branch.
+            let weights: Vec<u64> = (0..n * m).map(|_| (next() % 5) as u64).collect();
+            let score = |i: usize, j: usize| weights[i * m + j];
+            check_identical(n, m, &score, &format!("weighted trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn long_thin_and_square_shapes() {
+        let a: Vec<u64> = (0..500).map(|x| x % 7).collect();
+        let b: Vec<u64> = (0..40).map(|x| (x * 3) % 7).collect();
+        let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
+        check_identical(a.len(), b.len(), &score, "long x thin");
+        check_identical(b.len(), a.len(), &|i, j| score(j, i), "thin x long");
     }
 
     #[test]

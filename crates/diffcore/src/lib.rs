@@ -7,19 +7,16 @@
 //! `diff`. This crate provides everything both need:
 //!
 //! - [`lcs`]: weighted longest-common-subsequence alignment — a full-matrix
-//!   dynamic program for small inputs and Hirschberg's linear-space
-//!   divide-and-conquer for large ones. Weights are what distinguish the
+//!   dynamic program for small inputs and a replay of its canonical
+//!   backtrack in Hirschberg's linear space for large ones (behind a
+//!   flat score memo up to a size cap). Weights are what distinguish the
 //!   paper's algorithm from plain diff: a pair of *sentences* can match
 //!   partially, with weight equal to the number of common words.
-//! - [`hirschberg`]: the linear-space divide-and-conquer fallback — a
-//!   replay of the full DP's canonical backtrack in `O(m·log n)` space,
-//!   pair-for-pair identical to [`lcs::weighted_lcs_dp`].
 //! - [`anchor`]: anchored decomposition of the weighted LCS — trim the
 //!   common suffix, split the middle at verified unique-hash anchor
-//!   tokens (patience-style, rescued by rare-hash runs when unique
-//!   anchors die), and align only the gaps with the same canonical
-//!   backtrack, so the result is pair-for-pair identical to the full DP
-//!   on edit-structured inputs.
+//!   tokens (patience-style), and align only the gaps with the same
+//!   canonical backtrack, so the result is pair-for-pair identical to
+//!   the full DP on edit-structured inputs.
 //! - [`scratch`]: per-thread buffer pools reused across diffs (DP
 //!   tables, score rows, token arenas).
 //! - [`myers`]: the Myers `O((N+M)D)` greedy diff for plain equality
@@ -33,7 +30,6 @@
 //! - [`metrics`]: similarity ratios such as the paper's `2W/L` test.
 
 pub mod anchor;
-pub mod hirschberg;
 pub mod intern;
 pub mod lcs;
 pub mod lines;
@@ -43,9 +39,8 @@ pub mod scratch;
 pub mod script;
 
 pub use anchor::{anchored_weighted_lcs, AnchorConfig, AnchorStats};
-pub use hirschberg::weighted_lcs_hirschberg;
 pub use intern::Interner;
-pub use lcs::{weighted_lcs, weighted_lcs_dp, Scorer};
+pub use lcs::{weighted_lcs, weighted_lcs_dp, weighted_lcs_hirschberg, Scorer};
 pub use lines::{diff_lines, LineDiff};
 pub use metrics::{lcs_ratio, similarity};
 pub use myers::myers_diff;

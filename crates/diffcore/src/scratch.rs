@@ -28,7 +28,7 @@
 //! - [`retained_bytes`] reports the calling thread's pooled capacity;
 //!   HtmlDiff publishes it as the `diff.scratch.bytes` gauge.
 //!
-//! The default pool is thread-local — gap workers and snapshot service
+//! The default pool is thread-local — snapshot service and server
 //! threads each get their own, so no locking and no cross-thread
 //! nondeterminism. A caller that wants explicit control (tests, or an
 //! engine embedding with its own threading) can hold a [`DiffScratch`]
@@ -40,7 +40,7 @@ use std::cell::RefCell;
 /// Returned buffers larger than this are dropped instead of pooled, so
 /// one huge diff cannot pin its peak memory for the thread's lifetime.
 /// 4 MiB covers the outer DP table of a ~700×700-token page pair and
-/// every Hirschberg row/banded table the fallback produces.
+/// every replay row the linear-space fallback produces.
 pub const MAX_RETAINED_BUF_BYTES: usize = 1 << 22;
 
 /// Maximum recycled buffers kept per element type.

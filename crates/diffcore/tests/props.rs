@@ -8,8 +8,7 @@
 //! - Unified diff of identical inputs is empty; a text always equals
 //!   itself under `diff_lines`.
 //! - The anchored fast path returns the *same pairs* as the full DP on
-//!   edit-structured token streams, for any worker count and any
-//!   decomposition config.
+//!   edit-structured token streams, for any decomposition config.
 
 use aide_diffcore::anchor::{anchored_weighted_lcs, AnchorConfig};
 use aide_diffcore::lcs::{alignment_weight, lcs_pairs, weighted_lcs_dp, weighted_lcs_hirschberg};
@@ -229,24 +228,14 @@ proptest! {
         let (a, b) = ab;
         let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
         let verify = |i: usize, j: usize| a[i] == b[j];
-        let unit_a = vec![true; a.len()];
-        let unit_b = vec![true; b.len()];
         let dp = weighted_lcs_dp(a.len(), b.len(), &score);
-        // Every decomposition config must reproduce the DP pairs exactly:
-        // eager anchoring with plain gap DP, eager anchoring with the
-        // banded unit-gap DP engaged, and the production default.
+        // Both eager anchoring and the production default must reproduce
+        // the DP pairs exactly.
         for cfg in [
-            AnchorConfig {
-                small_cells: 0,
-                myers_min_cells: usize::MAX,
-                ..AnchorConfig::default()
-            },
-            AnchorConfig { small_cells: 0, myers_min_cells: 16, ..AnchorConfig::default() },
-            AnchorConfig { small_cells: 0, rescue_max_freq: 0, ..AnchorConfig::default() },
+            AnchorConfig { small_cells: 0, ..AnchorConfig::default() },
             AnchorConfig::default(),
         ] {
-            let (pairs, _) =
-                anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &cfg, &score, &verify);
+            let (pairs, _) = anchored_weighted_lcs(&a, &b, &cfg, &score, &verify);
             prop_assert_eq!(&pairs, &dp, "config {:?}", cfg);
         }
     }
@@ -259,36 +248,18 @@ proptest! {
         let weight = |id: u64| 1 + id % 3;
         let score = |i: usize, j: usize| if a[i] == b[j] { weight(a[i]) } else { 0 };
         let verify = |i: usize, j: usize| a[i] == b[j];
-        let unit_a: Vec<bool> = a.iter().map(|&id| weight(id) == 1).collect();
-        let unit_b: Vec<bool> = b.iter().map(|&id| weight(id) == 1).collect();
         let dp = weighted_lcs_dp(a.len(), b.len(), &score);
         let cfg = AnchorConfig { small_cells: 0, ..AnchorConfig::default() };
-        let (pairs, _) = anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &cfg, &score, &verify);
+        let (pairs, _) = anchored_weighted_lcs(&a, &b, &cfg, &score, &verify);
         prop_assert_eq!(&pairs, &dp);
     }
 
-    #[test]
-    fn anchored_workers_do_not_change_output(ab in edit_structured_pair()) {
-        let (a, b) = ab;
-        let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
-        let verify = |i: usize, j: usize| a[i] == b[j];
-        let unit_a = vec![true; a.len()];
-        let unit_b = vec![true; b.len()];
-        let serial = AnchorConfig { small_cells: 0, workers: 1, ..AnchorConfig::default() };
-        let parallel = AnchorConfig { small_cells: 0, workers: 4, ..AnchorConfig::default() };
-        let (p1, s1) = anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &serial, &score, &verify);
-        let (p4, s4) =
-            anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &parallel, &score, &verify);
-        prop_assert_eq!(p1, p4);
-        prop_assert_eq!(s1, s4);
-    }
-
-    // Degenerate inputs: the shapes the Hirschberg fallback and the
-    // rescue machinery must get byte-identical to the DP (ISSUE 7).
+    // Degenerate inputs: the shapes the linear-space replay and the
+    // anchor decomposition must get byte-identical to the DP.
     #[test]
     fn degenerate_all_identical_tokens_match_dp(n in 0usize..40, m in 0usize..40) {
         // One repeated id on both sides: maximal tie-break pressure, no
-        // unique anchors, rescue candidates only when counts coincide.
+        // unique anchors.
         let a = vec![42u64; n];
         let b = vec![42u64; m];
         check_every_path_equals_dp(&a, &b);
@@ -326,42 +297,23 @@ proptest! {
     }
 }
 
-/// Asserts the anchored decomposition (eager, banded, rescue-off,
-/// default) and the linear-space Hirschberg replay all reproduce the
-/// dense DP's pairs exactly on `a` vs `b`.
+/// Asserts the anchored decomposition (eager and default) and the
+/// linear-space Hirschberg replay all reproduce the dense DP's pairs
+/// exactly on `a` vs `b`.
 fn check_every_path_equals_dp(a: &[u64], b: &[u64]) {
     let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
     let verify = |i: usize, j: usize| a[i] == b[j];
-    let unit_a = vec![true; a.len()];
-    let unit_b = vec![true; b.len()];
     let dp = weighted_lcs_dp(a.len(), b.len(), &score);
     let hi = weighted_lcs_hirschberg(a.len(), b.len(), &score);
     assert_eq!(hi, dp, "hirschberg diverged");
     for cfg in [
         AnchorConfig {
             small_cells: 0,
-            myers_min_cells: usize::MAX,
-            ..AnchorConfig::default()
-        },
-        AnchorConfig {
-            small_cells: 0,
-            myers_min_cells: 16,
-            ..AnchorConfig::default()
-        },
-        AnchorConfig {
-            small_cells: 0,
-            rescue_max_freq: 0,
-            ..AnchorConfig::default()
-        },
-        AnchorConfig {
-            small_cells: 0,
-            rescue_max_freq: 8,
-            rescue_min_run: 2,
             ..AnchorConfig::default()
         },
         AnchorConfig::default(),
     ] {
-        let (pairs, _) = anchored_weighted_lcs(a, b, &unit_a, &unit_b, &cfg, &score, &verify);
+        let (pairs, _) = anchored_weighted_lcs(a, b, &cfg, &score, &verify);
         assert_eq!(pairs, dp, "config {cfg:?}");
     }
 }

@@ -43,7 +43,7 @@
 
 use crate::token::{token_class_hash, DiffToken, Inline, Sentence};
 use aide_diffcore::anchor::{anchored_weighted_lcs, AnchorConfig};
-use aide_diffcore::lcs::weighted_lcs;
+use aide_diffcore::lcs::{weighted_lcs, DENSE_MEMO_CELL_LIMIT};
 use aide_diffcore::metrics::lcs_ratio;
 use aide_diffcore::scratch;
 use aide_diffcore::script::Alignment;
@@ -51,7 +51,6 @@ use aide_diffcore::Interner;
 use aide_htmlkit::lexer::TagKind;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tunables for the comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,9 +69,6 @@ pub struct CompareOptions {
     /// ablations that report probe counters (`inner_lcs_evals`,
     /// `screened_out`) must set this to measure what the paper measured.
     pub force_naive: bool,
-    /// Worker threads for scoring independent anchor gaps (1 = serial).
-    /// Has no effect with `force_naive`.
-    pub gap_workers: usize,
 }
 
 impl Default for CompareOptions {
@@ -81,7 +77,6 @@ impl Default for CompareOptions {
             match_threshold: 0.5,
             length_screen: Some(0.4),
             force_naive: false,
-            gap_workers: 1,
         }
     }
 }
@@ -397,19 +392,18 @@ fn build_probe_tables(
     }
 }
 
-/// Probe counters; atomic so the parallel gap scorers can share them.
-/// Values are deterministic for a given probe set regardless of worker
-/// count (gap rectangles are disjoint and each gap memoizes).
+/// Probe counters: sentence pairs that reached the inner LCS, and pairs
+/// the length screen rejected.
 #[derive(Default)]
 struct ScoreCounters {
-    inner: AtomicUsize,
-    screened: AtomicUsize,
+    inner: Cell<usize>,
+    screened: Cell<usize>,
 }
 
 /// Scores token pair `(i, j)` through the precomputed metadata. Pure
-/// (same inputs → same output) and thread-safe; exact-match decisions
-/// gate on hashes but confirm with deep comparison, so the score
-/// function — and therefore the alignment — is collision-proof.
+/// (same inputs → same output); exact-match decisions gate on hashes but
+/// confirm with deep comparison, so the score function — and therefore
+/// the alignment — is collision-proof.
 #[allow(clippy::too_many_arguments)]
 fn score_with_meta(
     old: &[DiffToken],
@@ -438,12 +432,12 @@ fn score_with_meta(
     let la = mo[i].content_len;
     let lb = mn[j].content_len;
     if length_screened(la, lb, opts) {
-        counters.screened.fetch_add(1, Ordering::Relaxed);
+        counters.screened.set(counters.screened.get() + 1);
         return 0;
     }
     let eq = mo[i].class_hash == mn[j].class_hash && old[i] == new[j];
     if !eq {
-        counters.inner.fetch_add(1, Ordering::Relaxed);
+        counters.inner.set(counters.inner.get() + 1);
     }
     if la == 0 && lb == 0 {
         return u64::from(eq);
@@ -522,7 +516,6 @@ fn naive_pairs(n: usize, m: usize, score: &impl Fn(usize, usize) -> u64) -> Vec<
     }
     // Dense memo when it fits; the sparse fallback keeps memory bounded
     // for pathological inputs under Hirschberg.
-    const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
     if cells <= DENSE_MEMO_CELL_LIMIT {
         let memo: Vec<Cell<u64>> = vec![Cell::new(u64::MAX); cells];
         let memoized = |i: usize, j: usize| {
@@ -576,7 +569,6 @@ pub fn compare_tokens(
         // The naive path's one rectangle is its own "gap": classify it
         // the way the anchored path classifies gaps so diff.fallback.*
         // counters cover both paths.
-        const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
         if old.len().saturating_mul(new.len()) <= DENSE_MEMO_CELL_LIMIT {
             aide_obs::counter("diff.fallback.dense", 1);
         } else {
@@ -588,29 +580,18 @@ pub fn compare_tokens(
         a_ids.extend(mo.iter().map(|m| m.class_hash));
         let mut b_ids = scratch::take_u64_buf();
         b_ids.extend(mn.iter().map(|m| m.class_hash));
-        let a_unit: Vec<bool> = mo.iter().map(|m| m.is_break).collect();
-        let b_unit: Vec<bool> = mn.iter().map(|m| m.is_break).collect();
         let verify = |i: usize, j: usize| tokens_identical(&old[i], &new[j]);
-        let cfg = AnchorConfig {
-            workers: opts.gap_workers.max(1),
-            ..AnchorConfig::default()
-        };
         let (pairs, astats) =
-            anchored_weighted_lcs(&a_ids, &b_ids, &a_unit, &b_unit, &cfg, &score, &verify);
+            anchored_weighted_lcs(&a_ids, &b_ids, &AnchorConfig::default(), &score, &verify);
         scratch::give_u64_buf(a_ids);
         scratch::give_u64_buf(b_ids);
         aide_obs::counter("diff.fallback.dense", astats.dense_gaps as u64);
-        aide_obs::counter("diff.fallback.banded", astats.banded_gaps as u64);
         aide_obs::counter("diff.fallback.hirschberg", astats.hirschberg_gaps as u64);
         if aide_obs::enabled() {
             // Per-diff alignment work, in deterministic units: the
             // virtual clock never advances during CPU work, so cell and
             // anchor counts stand in for stage timings.
             aide_obs::observe("htmldiff.anchor.anchors", astats.anchors as u64);
-            aide_obs::observe(
-                "htmldiff.anchor.rescue_anchors",
-                astats.rescue_anchors as u64,
-            );
             aide_obs::observe("htmldiff.anchor.gaps", astats.gaps as u64);
             aide_obs::observe("htmldiff.anchor.gap_cells", astats.gap_cells as u64);
             aide_obs::observe("htmldiff.anchor.full_cells", astats.full_cells as u64);
@@ -637,11 +618,11 @@ pub fn compare_tokens(
     if aide_obs::enabled() {
         aide_obs::observe(
             "htmldiff.compare.inner_lcs_evals",
-            counters.inner.load(Ordering::Relaxed) as u64,
+            counters.inner.get() as u64,
         );
         aide_obs::observe(
             "htmldiff.compare.screened_out",
-            counters.screened.load(Ordering::Relaxed) as u64,
+            counters.screened.get() as u64,
         );
         // Pooled scratch capacity on this thread after the diff — the
         // arena-reuse health gauge.
@@ -650,8 +631,8 @@ pub fn compare_tokens(
     TokenAlignment {
         alignment: Alignment::new(pairs, old.len(), new.len()),
         identical,
-        inner_lcs_evals: counters.inner.load(Ordering::Relaxed),
-        screened_out: counters.screened.load(Ordering::Relaxed),
+        inner_lcs_evals: counters.inner.get(),
+        screened_out: counters.screened.get(),
     }
 }
 
@@ -880,25 +861,6 @@ mod tests {
             let naive = compare_tokens(&old, &new, &naive_opts());
             assert_eq!(fast.alignment.pairs, naive.alignment.pairs);
             assert_eq!(fast.identical, naive.identical);
-        }
-    }
-
-    #[test]
-    fn gap_workers_do_not_change_output() {
-        for (old_html, new_html) in revision_pairs() {
-            let old = tokenize(&old_html);
-            let new = tokenize(&new_html);
-            let serial = compare_tokens(&old, &new, &CompareOptions::default());
-            let parallel = compare_tokens(
-                &old,
-                &new,
-                &CompareOptions {
-                    gap_workers: 4,
-                    ..CompareOptions::default()
-                },
-            );
-            assert_eq!(serial.alignment.pairs, parallel.alignment.pairs);
-            assert_eq!(serial.identical, parallel.identical);
         }
     }
 

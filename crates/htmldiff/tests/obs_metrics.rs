@@ -62,11 +62,11 @@ fn fallback_counters_and_scratch_gauge_export_deterministically() {
         aide_obs::install(prev);
     }
 
-    // The fallback trio exists on every compare — counters are created
+    // The fallback pair exists on every compare — counters are created
     // at zero even when a path never ran — and partitions gap work.
     // The naive run classifies its one rectangle as dense, so dense is
-    // nonzero here; this small pair never needs the banded or
-    // linear-space paths.
+    // nonzero here; this small pair never needs the unmemoized
+    // linear-space replay.
     let c = |name: &str| {
         *snap
             .counters
@@ -74,7 +74,6 @@ fn fallback_counters_and_scratch_gauge_export_deterministically() {
             .unwrap_or_else(|| panic!("missing counter {name}; have {:?}", snap.counters.keys()))
     };
     assert!(c("diff.fallback.dense") >= 1, "dense gaps counted");
-    assert_eq!(c("diff.fallback.banded"), 0);
     assert_eq!(c("diff.fallback.hirschberg"), 0);
     assert_eq!(c("htmldiff.compare"), 2);
 

@@ -148,6 +148,19 @@ fn pipelined_requests_all_answered_in_order() {
 }
 
 #[test]
+fn non_ascii_after_percent_escape_gets_4xx() {
+    // `%` followed by a multi-byte character: the query decoder must
+    // treat it as a literal `%`, not slice the target mid-character.
+    let s = server();
+    for target in ["/view?url=%a\u{e9}&rev=1.1", "/view?url=%\u{e9}&rev=1.1"] {
+        let req = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
+        let (resp, outcome) = raw(&s, req.as_bytes());
+        assert!(resp.starts_with("HTTP/1.1 4"), "{target} => {resp}");
+        assert_eq!(outcome.requests, 1);
+    }
+}
+
+#[test]
 fn premature_close_never_panics_or_wedges() {
     let s = server();
     // Reset before any bytes.
