@@ -27,6 +27,9 @@ cargo run -q -p aide-analysis --bin aide-lint -- --root . --emit sarif \
 echo "== cargo test"
 cargo test -q
 
+echo "== perfbench's own tests (metric declaration, output checks, seeded inputs)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== fault-injection determinism (same seed => byte-identical reports)"
 AIDE_FAULT_DUMP="$PWD/target/fault_report_a.html" \
     cargo test -q -p aide --test fault_tolerance >/dev/null

@@ -77,7 +77,7 @@ pub fn fetch_page(
             Status::Ok => {
                 return Ok(FetchedPage {
                     final_url: current,
-                    body: resp.body,
+                    body: resp.body.to_string(),
                     last_modified: resp.last_modified,
                 });
             }

@@ -121,7 +121,7 @@ impl FormRegistry {
         if resp.status != Status::Ok {
             return Err(FormError::Http(resp.status));
         }
-        Ok(resp.body)
+        Ok(resp.body.to_string())
     }
 
     /// Polls the service: POSTs the stored input, checksums the output,

@@ -61,7 +61,7 @@ fn main() {
         .collect();
 
     // Daily polling with full-body comparison (the checksum regime).
-    let mut last_body: std::collections::HashMap<String, String> = Default::default();
+    let mut last_body: std::collections::HashMap<String, std::sync::Arc<str>> = Default::default();
     let mut raw_notifications = 0u64;
     let mut filtered_notifications = 0u64;
     let mut false_suppressions = 0u64; // honest change judged junk

@@ -307,11 +307,14 @@ impl RateBook {
     /// Records one poll verdict for `url` at `now` (O(log n) map walk,
     /// O(1) arithmetic).
     pub fn observe(&mut self, url: &str, changed: bool, now: Timestamp) {
-        let prior = self.priors.prior_for(url);
-        self.rates
-            .entry(url.to_string())
-            .or_insert_with(|| UrlRate::cold(prior))
-            .observe(changed, now);
+        if let Some(rate) = self.rates.get_mut(url) {
+            rate.observe(changed, now);
+            return;
+        }
+        // Cold insert: only now are the prior rules worth scanning.
+        let mut rate = UrlRate::cold(self.priors.prior_for(url));
+        rate.observe(changed, now);
+        self.rates.insert(url.to_string(), rate);
     }
 
     /// Expected gain (millionths) of polling `url` at `now`, measured

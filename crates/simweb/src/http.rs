@@ -9,6 +9,7 @@
 
 use aide_util::time::Timestamp;
 use std::fmt;
+use std::sync::Arc;
 
 /// HTTP request method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,8 +202,9 @@ pub struct Response {
     pub location: Option<String>,
     /// `Content-Length` (present even for HEAD).
     pub content_length: usize,
-    /// Body; empty for HEAD and 304 responses.
-    pub body: String,
+    /// Body; empty for HEAD and 304 responses. A static page's body is
+    /// the origin's own allocation, shared rather than copied.
+    pub body: Arc<str>,
     /// `Date` — when the origin produced this response.
     pub date: Timestamp,
     /// `Retry-After`, in seconds — overloaded servers attach it to 503

@@ -71,7 +71,7 @@ fn resource_key(u: &Url) -> String {
 struct WebState {
     servers: BTreeMap<String, OriginServer>,
     /// Simulated local filesystem for `file:` URLs: path → (content, mtime).
-    local_files: BTreeMap<String, (String, Timestamp)>,
+    local_files: BTreeMap<String, (Arc<str>, Timestamp)>,
     /// When false, every network request fails (local connectivity loss).
     network_up: bool,
     stats: NetStats,
@@ -94,7 +94,7 @@ struct WebState {
 /// let web = Web::new(Clock::new());
 /// web.set_page("http://www.usenix.org/", "<HTML>hi</HTML>", Timestamp(100)).unwrap();
 /// let resp = web.request(&Request::get("http://www.usenix.org/")).unwrap();
-/// assert_eq!(resp.body, "<HTML>hi</HTML>");
+/// assert_eq!(&*resp.body, "<HTML>hi</HTML>");
 /// ```
 #[derive(Clone)]
 pub struct Web {
@@ -154,7 +154,7 @@ impl Web {
                 Resource::Page { body, .. } => body,
                 other => {
                     let mut other = other;
-                    other.materialize(self.clock.now())
+                    other.materialize(self.clock.now()).into()
                 }
             };
             st.local_files.insert(u.path, (body, mtime));
@@ -229,7 +229,7 @@ impl Web {
         self.state
             .lock()
             .local_files
-            .insert(path.to_string(), (content.to_string(), mtime));
+            .insert(path.to_string(), (Arc::from(content), mtime));
     }
 
     /// Performs one request.
@@ -248,7 +248,7 @@ impl Web {
                     location: None,
                     content_length: content.len(),
                     body: if req.method == Method::Head {
-                        String::new()
+                        Arc::default()
                     } else {
                         content.clone()
                     },
@@ -260,7 +260,7 @@ impl Web {
                     last_modified: None,
                     location: None,
                     content_length: 0,
-                    body: String::new(),
+                    body: Arc::default(),
                     date: now,
                     retry_after: None,
                 },
@@ -351,7 +351,7 @@ impl Web {
                     last_modified: None,
                     location: None,
                     content_length: 0,
-                    body: String::new(),
+                    body: Arc::default(),
                     date: now,
                     retry_after: retry_after_secs,
                 });
@@ -370,7 +370,7 @@ impl Web {
                 while keep > 0 && !resp.body.is_char_boundary(keep) {
                     keep -= 1;
                 }
-                resp.body.truncate(keep);
+                resp.body = Arc::from(&resp.body[..keep]);
                 st.stats.faults_injected += 1;
                 aide_obs::counter("simweb.fault.truncated", 1);
             }
@@ -463,7 +463,7 @@ mod tests {
         assert_eq!(h.last_modified, Some(Timestamp(100)));
         assert!(h.body.is_empty());
         let g = w.request(&Request::get("http://a.com/x.html")).unwrap();
-        assert_eq!(g.body, "<HTML>ax</HTML>");
+        assert_eq!(&*g.body, "<HTML>ax</HTML>");
     }
 
     #[test]
@@ -537,7 +537,7 @@ mod tests {
             .get_following_redirects("http://a.com/old.html", 3)
             .unwrap();
         assert_eq!(final_url, "http://b.com/y.html");
-        assert_eq!(resp.body, "<HTML>by</HTML>");
+        assert_eq!(&*resp.body, "<HTML>by</HTML>");
     }
 
     #[test]
@@ -608,7 +608,7 @@ mod tests {
         let r = w
             .request(&Request::get("http://a.com/cgi-bin/q?topic=web"))
             .unwrap();
-        assert_eq!(r.body, "result 1");
+        assert_eq!(&*r.body, "result 1");
         // A different query is a different resource.
         let miss = w
             .request(&Request::get("http://a.com/cgi-bin/q?topic=mail"))
@@ -638,6 +638,6 @@ mod tests {
             .unwrap();
         let r = w.request(&Request::get("http://a.com/x.html")).unwrap();
         assert_eq!(r.last_modified, Some(Timestamp(300)));
-        assert_eq!(r.body, "<HTML>v2</HTML>");
+        assert_eq!(&*r.body, "<HTML>v2</HTML>");
     }
 }

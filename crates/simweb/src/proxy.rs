@@ -15,10 +15,10 @@ use aide_util::time::{Duration, Timestamp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A cached entry.
-#[derive(Debug, Clone)]
+/// A cached entry. Its body shares the origin response's allocation.
+#[derive(Debug)]
 struct Entry {
-    body: String,
+    body: Arc<str>,
     last_modified: Option<Timestamp>,
     fetched_at: Timestamp,
 }
@@ -109,37 +109,40 @@ impl ProxyCache {
 
     fn fetch(&self, url: &str, method: Method, force: bool) -> Result<Response, NetError> {
         let now = self.web.clock().now();
-        {
+        // HEAD answers carry the length but not the body.
+        let body_for = |body: &Arc<str>| {
+            if method == Method::Head {
+                Arc::default()
+            } else {
+                body.clone()
+            }
+        };
+        let prior = {
             let mut st = self.state.lock();
-            if !force {
-                if let Some(e) = st.entries.get(url).cloned() {
-                    if now - e.fetched_at < self.ttl {
-                        st.stats.hits += 1;
-                        return Ok(Response {
-                            status: Status::Ok,
-                            last_modified: e.last_modified,
-                            location: None,
-                            content_length: e.body.len(),
-                            body: if method == Method::Head {
-                                String::new()
-                            } else {
-                                e.body.clone()
-                            },
-                            date: e.fetched_at,
-                            retry_after: None,
-                        });
-                    }
+            if let Some(e) = st.entries.get(url) {
+                if !force && now - e.fetched_at < self.ttl {
+                    let resp = Response {
+                        status: Status::Ok,
+                        last_modified: e.last_modified,
+                        location: None,
+                        content_length: e.body.len(),
+                        body: body_for(&e.body),
+                        date: e.fetched_at,
+                        retry_after: None,
+                    };
+                    st.stats.hits += 1;
+                    return Ok(resp);
                 }
             }
             st.stats.misses += 1;
-        }
+            st.entries
+                .get(url)
+                .map(|e| (e.last_modified, e.body.clone()))
+        };
         // Stale or absent: fetch (conditionally when we hold a copy).
-        let prior = self.state.lock().entries.get(url).cloned();
         let mut req = Request::get(url);
-        if let Some(e) = &prior {
-            if let Some(lm) = e.last_modified {
-                req = req.if_modified_since(lm);
-            }
+        if let Some((Some(lm), _)) = prior {
+            req = req.if_modified_since(lm);
         }
         let resp = self.web.request(&req)?;
         match resp.status {
@@ -148,31 +151,27 @@ impl ProxyCache {
                 st.stats.revalidated += 1;
                 // A 304 implies we sent If-Modified-Since, which implies
                 // a prior entry; stay total if it vanished anyway.
-                let e = st.entries.entry(url.to_string()).or_insert_with(|| Entry {
-                    body: prior.as_ref().map(|p| p.body.clone()).unwrap_or_default(),
-                    last_modified: prior.as_ref().and_then(|p| p.last_modified),
-                    fetched_at: now,
+                let e = st.entries.entry(url.to_string()).or_insert_with(|| {
+                    let (last_modified, body) = prior.unwrap_or_default();
+                    Entry {
+                        body,
+                        last_modified,
+                        fetched_at: now,
+                    }
                 });
                 e.fetched_at = now;
-                let body = e.body.clone();
-                let lm = e.last_modified;
                 Ok(Response {
                     status: Status::Ok,
-                    last_modified: lm,
+                    last_modified: e.last_modified,
                     location: None,
-                    content_length: body.len(),
-                    body: if method == Method::Head {
-                        String::new()
-                    } else {
-                        body
-                    },
+                    content_length: e.body.len(),
+                    body: body_for(&e.body),
                     date: now,
                     retry_after: None,
                 })
             }
             Status::Ok => {
-                let mut st = self.state.lock();
-                st.entries.insert(
+                self.state.lock().entries.insert(
                     url.to_string(),
                     Entry {
                         body: resp.body.clone(),
@@ -181,11 +180,7 @@ impl ProxyCache {
                     },
                 );
                 Ok(Response {
-                    body: if method == Method::Head {
-                        String::new()
-                    } else {
-                        resp.body.clone()
-                    },
+                    body: body_for(&resp.body),
                     ..resp
                 })
             }
@@ -248,7 +243,7 @@ mod tests {
         proxy.get("http://h/p.html").unwrap();
         let origin_before = web.server_stats("h").unwrap().total();
         let r = proxy.get("http://h/p.html").unwrap();
-        assert_eq!(r.body, "<HTML>v1</HTML>");
+        assert_eq!(&*r.body, "<HTML>v1</HTML>");
         assert_eq!(
             web.server_stats("h").unwrap().total(),
             origin_before,
@@ -263,7 +258,7 @@ mod tests {
         proxy.get("http://h/p.html").unwrap();
         clock.advance(Duration::hours(2));
         let r = proxy.get("http://h/p.html").unwrap();
-        assert_eq!(r.body, "<HTML>v1</HTML>");
+        assert_eq!(&*r.body, "<HTML>v1</HTML>");
         assert_eq!(proxy.stats().revalidated, 1);
         // Origin saw a conditional GET answered 304.
         assert_eq!(web.server_stats("h").unwrap().not_modified, 1);
@@ -277,7 +272,7 @@ mod tests {
         web.touch_page("http://h/p.html", "<HTML>v2</HTML>", clock.now())
             .unwrap();
         let r = proxy.get("http://h/p.html").unwrap();
-        assert_eq!(r.body, "<HTML>v2</HTML>");
+        assert_eq!(&*r.body, "<HTML>v2</HTML>");
         assert_eq!(proxy.stats().revalidated, 0);
     }
 
@@ -290,7 +285,7 @@ mod tests {
         web.touch_page("http://h/p.html", "<HTML>v2</HTML>", clock.now())
             .unwrap();
         let r = proxy.get("http://h/p.html").unwrap();
-        assert_eq!(r.body, "<HTML>v1</HTML>", "stale but within TTL");
+        assert_eq!(&*r.body, "<HTML>v1</HTML>", "stale but within TTL");
     }
 
     #[test]
@@ -300,7 +295,7 @@ mod tests {
         web.touch_page("http://h/p.html", "<HTML>v2</HTML>", clock.now())
             .unwrap();
         let r = proxy.reload("http://h/p.html").unwrap();
-        assert_eq!(r.body, "<HTML>v2</HTML>");
+        assert_eq!(&*r.body, "<HTML>v2</HTML>");
     }
 
     #[test]

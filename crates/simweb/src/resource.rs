@@ -13,14 +13,15 @@
 //!   without, deliberately gone (§3.1).
 
 use aide_util::time::Timestamp;
+use std::sync::Arc;
 
 /// A resource served at some path of an origin server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resource {
     /// A static page with a modification date.
     Page {
-        /// Full body.
-        body: String,
+        /// Full body, shared with every response that carries it.
+        body: Arc<str>,
         /// `Last-Modified` value.
         last_modified: Timestamp,
     },
@@ -44,7 +45,7 @@ impl Resource {
     /// Convenience constructor for a static page.
     pub fn page(body: &str, last_modified: Timestamp) -> Resource {
         Resource::Page {
-            body: body.to_string(),
+            body: Arc::from(body),
             last_modified,
         }
     }
@@ -73,7 +74,7 @@ impl Resource {
     /// input-dependent output (§8.4's case).
     pub fn materialize_with_input(&mut self, now: Timestamp, input: &str) -> String {
         match self {
-            Resource::Page { body, .. } => body.clone(),
+            Resource::Page { body, .. } => body.to_string(),
             Resource::Cgi { template, hits } => {
                 *hits += 1;
                 template

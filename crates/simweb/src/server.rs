@@ -11,6 +11,7 @@ use crate::http::{Method, Request, Response, Status};
 use crate::resource::Resource;
 use aide_util::time::Timestamp;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Operational state of a server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub struct OriginServer {
     /// Hostname (lowercase).
     pub host: String,
     resources: BTreeMap<String, Resource>,
-    robots_txt: Option<String>,
+    robots_txt: Option<Arc<str>>,
     state: ServerState,
     stats: ServerStats,
 }
@@ -97,7 +98,7 @@ impl OriginServer {
 
     /// Installs a `robots.txt` body (served at `/robots.txt`).
     pub fn set_robots_txt(&mut self, text: &str) {
-        self.robots_txt = Some(text.to_string());
+        self.robots_txt = Some(Arc::from(text));
     }
 
     /// Sets the operational state.
@@ -138,7 +139,7 @@ impl OriginServer {
                     location: None,
                     content_length: text.len(),
                     body: if req.method == Method::Head {
-                        String::new()
+                        Arc::default()
                     } else {
                         text.clone()
                     },
@@ -154,7 +155,7 @@ impl OriginServer {
                 last_modified: None,
                 location: None,
                 content_length: 0,
-                body: String::new(),
+                body: Arc::default(),
                 date: now,
                 retry_after: None,
             };
@@ -165,7 +166,7 @@ impl OriginServer {
                 last_modified: None,
                 location: Some(location.clone()),
                 content_length: 0,
-                body: String::new(),
+                body: Arc::default(),
                 date: now,
                 retry_after: None,
             },
@@ -174,7 +175,7 @@ impl OriginServer {
                 last_modified: None,
                 location: None,
                 content_length: 0,
-                body: String::new(),
+                body: Arc::default(),
                 date: now,
                 retry_after: None,
             },
@@ -191,7 +192,7 @@ impl OriginServer {
                             last_modified: Some(*last_modified),
                             location: None,
                             content_length: body.len(),
-                            body: String::new(),
+                            body: Arc::default(),
                             date: now,
                             retry_after: None,
                         };
@@ -203,7 +204,7 @@ impl OriginServer {
                     location: None,
                     content_length: body.len(),
                     body: if req.method == Method::Head {
-                        String::new()
+                        Arc::default()
                     } else {
                         body.clone()
                     },
@@ -213,10 +214,11 @@ impl OriginServer {
             }
             cgi @ Resource::Cgi { .. } => {
                 let len = cgi.peek_len(now);
-                let body = if req.method == Method::Head {
-                    String::new()
+                let body: Arc<str> = if req.method == Method::Head {
+                    Arc::default()
                 } else {
                     cgi.materialize_with_input(now, req.body.as_deref().unwrap_or(""))
+                        .into()
                 };
                 Response {
                     status: Status::Ok,
@@ -276,7 +278,7 @@ mod tests {
     fn get_returns_body() {
         let mut s = server();
         let r = s.serve(&Request::get("u"), "/index.html", Timestamp(1000));
-        assert_eq!(r.body, "<HTML>home</HTML>");
+        assert_eq!(&*r.body, "<HTML>home</HTML>");
     }
 
     #[test]
@@ -312,7 +314,7 @@ mod tests {
         let mut s = server();
         let _ = s.serve(&Request::head("u"), "/cgi-bin/count", Timestamp(1));
         let g = s.serve(&Request::get("u"), "/cgi-bin/count", Timestamp(1));
-        assert_eq!(g.body, "hits=1");
+        assert_eq!(&*g.body, "hits=1");
     }
 
     #[test]
@@ -377,11 +379,11 @@ mod tests {
             last_modified,
         }) = s.resource_mut("/index.html")
         {
-            *body = "<HTML>v2</HTML>".to_string();
+            *body = "<HTML>v2</HTML>".into();
             *last_modified = Timestamp(900);
         }
         let r = s.serve(&Request::get("u"), "/index.html", Timestamp(1000));
-        assert_eq!(r.body, "<HTML>v2</HTML>");
+        assert_eq!(&*r.body, "<HTML>v2</HTML>");
         assert_eq!(r.last_modified, Some(Timestamp(900)));
     }
 }

@@ -509,7 +509,7 @@ pub fn from_sim_response(resp: &Response) -> WireResponse {
     if let Some(ra) = resp.retry_after {
         w = w.header("Retry-After", &ra.to_string());
     }
-    w.body(resp.body.clone().into_bytes())
+    w.body(resp.body.as_bytes())
 }
 
 /// Serves one buffered wire exchange against the simulated Web: parse

@@ -370,6 +370,9 @@ impl W3Newer {
         proxy: Option<&ProxyCache>,
         workers: usize,
     ) -> RunReport {
+        if workers <= 1 {
+            return self.run_serial(hotlist, last_visited, web, proxy);
+        }
         // Partition by host; unparseable URLs group under their own text.
         let mut group_of: HashMap<String, usize> = HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -386,8 +389,8 @@ impl W3Newer {
         }
         let pool = workers.min(groups.len());
         if pool <= 1 {
-            // One host (or one worker): the serial path is already
-            // optimal and keeps exact serial cache semantics.
+            // One host: the serial path is already optimal and keeps
+            // exact serial cache semantics.
             return self.run_serial(hotlist, last_visited, web, proxy);
         }
 

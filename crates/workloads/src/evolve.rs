@@ -140,7 +140,7 @@ mod tests {
             &web,
         );
         let r = web.request(&Request::get("http://h/p.html")).unwrap();
-        assert_eq!(r.body, ep.page.render());
+        assert_eq!(*r.body, ep.page.render());
     }
 
     #[test]
