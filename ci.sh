@@ -51,6 +51,12 @@ AIDE_STORE_DUMP="$PWD/target/store_crash_b.txt" \
     cargo test -q -p aide-store --test crash >/dev/null
 cmp target/store_crash_a.txt target/store_crash_b.txt
 
+echo "== HtmlDiff figure/ablation output pinned (Figure 2 and the §5 tables, byte for byte)"
+cargo run -q --release -p aide-bench --bin figure2_htmldiff > target/figure2_htmldiff.txt
+cmp target/figure2_htmldiff.txt crates/bench/tests/expected/figure2_htmldiff.txt
+cargo run -q --release -p aide-bench --bin exp_diff_quality > target/exp_diff_quality.txt
+cmp target/exp_diff_quality.txt crates/bench/tests/expected/exp_diff_quality.txt
+
 echo "== bench smoke (single-iteration, compile-and-run check)"
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench htmldiff_e2e >/dev/null
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench snapshot_contention >/dev/null

@@ -19,11 +19,14 @@
 //! # The fast path
 //!
 //! By default the outer alignment runs through the anchored
-//! decomposition of [`aide_diffcore::anchor`] over per-token metadata
-//! precomputed once per stream: a match-class hash, the cached content
-//! length, and interned `u32` ids for every sentence item, stored in a
-//! per-diff arena drawn from the [`aide_diffcore::scratch`] pools so
-//! back-to-back diffs reuse their allocations. Score probes are then
+//! decomposition of [`aide_diffcore::anchor`] over per-token metadata:
+//! the match-class hash and content length that tokenization recorded in
+//! each [`TokenStream`], and interned `u32` ids for every sentence item,
+//! stored in a per-diff arena drawn from the [`aide_diffcore::scratch`]
+//! pools so back-to-back diffs reuse their allocations. Items are
+//! interned by the match hashes tokenization recorded, in a table keyed
+//! by those hashes and confirmed by [`Inline::matches`] against each
+//! id's first item — no word is copied or re-hashed. Score probes are then
 //! O(1) screens plus an integer-compare inner LCS instead of deep
 //! re-walks of the item lists — and before any inner LCS runs, a
 //! multiset-intersection bound over each sentence's *sorted* content ids
@@ -41,14 +44,12 @@
 //! unchanged counter semantics (the screen/inner-LCS counters increment
 //! at the same probe points on every path, prune or no prune).
 
-use crate::token::{token_class_hash, DiffToken, Inline, Sentence};
+use crate::token::{DiffToken, Inline, Sentence, TokenStream};
 use aide_diffcore::anchor::{anchored_weighted_lcs, AnchorConfig};
 use aide_diffcore::lcs::{weighted_lcs, DENSE_MEMO_CELL_LIMIT};
 use aide_diffcore::metrics::lcs_ratio;
 use aide_diffcore::scratch;
 use aide_diffcore::script::Alignment;
-use aide_diffcore::Interner;
-use aide_htmlkit::lexer::TagKind;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
@@ -156,24 +157,65 @@ pub fn sentence_match_weight(a: &Sentence, b: &Sentence, opts: &CompareOptions) 
     }
 }
 
-/// The equivalence class of one sentence item under [`Inline::matches`]:
-/// words verbatim, markups modulo attribute order. Interning these gives
-/// dense ids whose equality *is* `matches`, so the inner LCS compares
-/// integers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ItemKey {
-    Word(String),
-    Markup(String, TagKind, Vec<(String, Option<String>)>),
+/// Interns sentence items into dense `u32` ids, in first-occurrence
+/// order, such that `id == id` ⇔ [`Inline::matches`]. The table is keyed
+/// by the match hashes tokenization recorded ([`TokenStream::item_hashes`])
+/// and borrows its items: a slot whose hash equals the probe's is
+/// confirmed with a deep `matches` against that id's first item, so
+/// colliding hashes still get distinct ids. Open addressing over a table
+/// sized for every item of both streams at load ≤ ½; its buffers come
+/// from the [`scratch`] pools.
+struct ItemInterner<'t, 'a> {
+    /// Ids by slot; [`EMPTY`] marks a free slot.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the slot is the top bits of the
+    /// multiplied hash.
+    shift: u32,
+    /// Match hash of each id.
+    hashes: Vec<u64>,
+    /// First item of each id.
+    reps: Vec<&'t Inline<'a>>,
 }
 
-fn item_key(item: &Inline) -> ItemKey {
-    match item {
-        Inline::Word(w) => ItemKey::Word(w.clone()),
-        Inline::Markup(tag) => {
-            let mut attrs = tag.attrs.clone();
-            attrs.sort();
-            ItemKey::Markup(tag.name.clone(), tag.kind, attrs)
+const EMPTY: u32 = u32::MAX;
+
+impl<'t, 'a> ItemInterner<'t, 'a> {
+    fn with_capacity(items: usize) -> Self {
+        let size = (2 * items).next_power_of_two().max(16);
+        let mut slots = scratch::take_u32_buf();
+        slots.resize(size, EMPTY);
+        ItemInterner {
+            slots,
+            shift: 64 - size.trailing_zeros(),
+            hashes: scratch::take_u64_buf(),
+            reps: Vec::with_capacity(items),
         }
+    }
+
+    /// The id of `item`, whose match hash is `hash`, and whether the id
+    /// is new.
+    fn intern(&mut self, hash: u64, item: &'t Inline<'a>) -> (u32, bool) {
+        let mask = self.slots.len() - 1;
+        let mut pos = (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let id = self.slots[pos];
+            if id == EMPTY {
+                let id = self.reps.len() as u32;
+                self.slots[pos] = id;
+                self.hashes.push(hash);
+                self.reps.push(item);
+                return (id, true);
+            }
+            if self.hashes[id as usize] == hash && self.reps[id as usize].matches(item) {
+                return (id, false);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    fn give(self) {
+        scratch::give_u32_buf(self.slots);
+        scratch::give_u64_buf(self.hashes);
     }
 }
 
@@ -192,8 +234,8 @@ struct MetaArena {
     sorted_content: Vec<u32>,
     /// Indexed by interned id: is the item content-defining? Content-ness
     /// is a function of the item's match class ([`Inline::is_content`]
-    /// depends only on the word / tag name that the [`ItemKey`] carries),
-    /// so it is stored once per id, not once per occurrence.
+    /// depends only on whether it is a word and on the tag name), so it
+    /// is stored once per id, not once per occurrence.
     id_is_content: Vec<bool>,
 }
 
@@ -236,45 +278,30 @@ struct TokenMeta {
     is_break: bool,
 }
 
-fn build_meta(
-    tokens: &[DiffToken],
-    interner: &mut Interner<ItemKey>,
+fn build_meta<'t, 'a>(
+    stream: &'t TokenStream<'a>,
+    interner: &mut ItemInterner<'t, 'a>,
     arena: &mut MetaArena,
 ) -> Vec<TokenMeta> {
-    tokens
+    stream
         .iter()
-        .map(|t| match t {
-            DiffToken::Break(_) => TokenMeta {
-                class_hash: token_class_hash(t),
-                content_len: 0,
-                items_start: arena.ids.len(),
-                items_end: arena.ids.len(),
-                sorted_start: arena.sorted_content.len(),
-                sorted_end: arena.sorted_content.len(),
-                max_mult: 0,
-                is_break: true,
-            },
-            DiffToken::Sentence(s) => {
-                let items_start = arena.ids.len();
-                for it in &s.items {
-                    let id = interner.intern(item_key(it));
-                    let slot = id as usize;
-                    if slot >= arena.id_is_content.len() {
-                        arena.id_is_content.resize(slot + 1, false);
-                        arena.id_is_content[slot] = it.is_content();
+        .enumerate()
+        .map(|(t, token)| {
+            let items_start = arena.ids.len();
+            let sorted_start = arena.sorted_content.len();
+            let mut max_mult = 0u64;
+            if let DiffToken::Sentence(s) = token {
+                for (it, &hash) in s.items.iter().zip(stream.item_hashes(t)) {
+                    let (id, new) = interner.intern(hash, it);
+                    if new {
+                        arena.id_is_content.push(it.is_content());
                     }
                     arena.ids.push(id);
-                }
-                let items_end = arena.ids.len();
-                let sorted_start = arena.sorted_content.len();
-                for k in items_start..items_end {
-                    let id = arena.ids[k];
                     if arena.id_is_content[id as usize] {
                         arena.sorted_content.push(id);
                     }
                 }
                 arena.sorted_content[sorted_start..].sort_unstable();
-                let mut max_mult = 0u64;
                 let mut run = 0u64;
                 let mut prev = None;
                 for &id in &arena.sorted_content[sorted_start..] {
@@ -282,16 +309,16 @@ fn build_meta(
                     prev = Some(id);
                     max_mult = max_mult.max(run);
                 }
-                TokenMeta {
-                    class_hash: token_class_hash(t),
-                    content_len: s.content_len(),
-                    items_start,
-                    items_end,
-                    sorted_start,
-                    sorted_end: arena.sorted_content.len(),
-                    max_mult,
-                    is_break: false,
-                }
+            }
+            TokenMeta {
+                class_hash: stream.class_hash(t),
+                content_len: stream.content_len(t),
+                items_start,
+                items_end: arena.ids.len(),
+                sorted_start,
+                sorted_end: arena.sorted_content.len(),
+                max_mult,
+                is_break: token.is_break(),
             }
         })
         .collect()
@@ -546,21 +573,44 @@ fn naive_pairs(n: usize, m: usize, score: &impl Fn(usize, usize) -> u64) -> Vec<
 /// [`CompareOptions::force_naive`]; both produce the same output on real
 /// inputs (see the module docs for the exact guarantee).
 pub fn compare_tokens(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &TokenStream<'_>,
+    new: &TokenStream<'_>,
     opts: &CompareOptions,
 ) -> TokenAlignment {
-    let mut interner = Interner::new();
     let mut arena = MetaArena::take();
-    let mo = build_meta(old, &mut interner, &mut arena);
-    let mn = build_meta(new, &mut interner, &mut arena);
+    let (mo, mn) = build_metas(old, new, &mut arena);
+    align(old, new, &mo, &mn, arena, opts)
+}
+
+/// Both streams' metadata, their items interned into one id space.
+fn build_metas(
+    old: &TokenStream<'_>,
+    new: &TokenStream<'_>,
+    arena: &mut MetaArena,
+) -> (Vec<TokenMeta>, Vec<TokenMeta>) {
+    let mut interner = ItemInterner::with_capacity(old.item_count() + new.item_count());
+    let mo = build_meta(old, &mut interner, arena);
+    let mn = build_meta(new, &mut interner, arena);
+    interner.give();
+    (mo, mn)
+}
+
+/// The alignment proper, over precomputed metadata; returns the arena's
+/// buffers to the pools.
+fn align(
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
+    mo: &[TokenMeta],
+    mn: &[TokenMeta],
+    arena: MetaArena,
+    opts: &CompareOptions,
+) -> TokenAlignment {
     let counters = ScoreCounters::default();
-    let tables = build_probe_tables(&mo, &mn, &arena, interner.len(), opts.match_threshold);
+    let vocab = arena.id_is_content.len();
+    let tables = build_probe_tables(mo, mn, &arena, vocab, opts.match_threshold);
     let arena_ref = &arena;
     let score = |i: usize, j: usize| {
-        score_with_meta(
-            old, new, &mo, &mn, arena_ref, i, j, opts, &tables, &counters,
-        )
+        score_with_meta(old, new, mo, mn, arena_ref, i, j, opts, &tables, &counters)
     };
 
     aide_obs::counter("htmldiff.compare", 1);
@@ -637,11 +687,14 @@ pub fn compare_tokens(
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tokenize::tokenize;
 
-    fn first_sentence(html: &str) -> Sentence {
+    fn first_sentence(html: &str) -> Sentence<'_> {
         tokenize(html)
             .into_iter()
             .find_map(|t| match t {
@@ -802,10 +855,11 @@ mod tests {
 
     #[test]
     fn empty_streams() {
-        let al = compare_tokens(&[], &[], &CompareOptions::default());
+        let empty = TokenStream::default();
+        let al = compare_tokens(&empty, &empty, &CompareOptions::default());
         assert!(al.alignment.pairs.is_empty());
         let old = tokenize("<P>content here");
-        let al = compare_tokens(&old, &[], &CompareOptions::default());
+        let al = compare_tokens(&old, &empty, &CompareOptions::default());
         assert!(al.alignment.pairs.is_empty());
     }
 

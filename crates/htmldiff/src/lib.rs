@@ -13,8 +13,13 @@
 //! Module map:
 //!
 //! - [`token`]: the [`DiffToken`] stream model — sentences (words +
-//!   inline markups) and sentence-breaking markups.
-//! - [`tokenize`](mod@crate::tokenize): lexical analysis of HTML into that stream.
+//!   inline markups) and sentence-breaking markups — and the
+//!   [`TokenStream`] that carries it. Words borrow from the source
+//!   document; each item's match hash and each token's class hash,
+//!   content length and stream-hash part are recorded when the token is
+//!   made, so no later pass re-reads its bytes.
+//! - [`tokenize`](mod@crate::tokenize): lexical analysis of HTML into
+//!   that stream, in one pass over the document.
 //! - [`compare`]: the two-phase sentence matcher and the weighted LCS
 //!   over tokens.
 //! - [`merge`]: merged-page construction — banner, arrow chain,
@@ -48,5 +53,5 @@ pub mod tokenize;
 pub use compare::{compare_tokens, CompareOptions, TokenAlignment};
 pub use merge::DiffStats;
 pub use present::{html_diff, DiffResult, Options, Presentation};
-pub use token::{token_class_hash, token_stream_hash, DiffToken, Inline, Sentence};
+pub use token::{token_class_hash, token_stream_hash, DiffToken, Inline, Sentence, TokenStream};
 pub use tokenize::tokenize;

@@ -113,7 +113,7 @@ pub fn segments(alignment: &TokenAlignment) -> Vec<Segment> {
 /// Whether an old-only run contains visible content (worth an arrow and a
 /// strike-out). Pure-markup deletions are format changes and are elided
 /// silently.
-pub fn old_run_has_content(old: &[DiffToken], idxs: &[usize]) -> bool {
+pub fn old_run_has_content(old: &[DiffToken<'_>], idxs: &[usize]) -> bool {
     idxs.iter().any(|&i| match &old[i] {
         DiffToken::Sentence(s) => s.word_count() > 0,
         DiffToken::Break(_) => false,
@@ -121,7 +121,7 @@ pub fn old_run_has_content(old: &[DiffToken], idxs: &[usize]) -> bool {
 }
 
 /// Whether a new-only run contains content (sentences with any items).
-pub fn new_run_has_content(new: &[DiffToken], idxs: &[usize]) -> bool {
+pub fn new_run_has_content(new: &[DiffToken<'_>], idxs: &[usize]) -> bool {
     idxs.iter()
         .any(|&i| matches!(&new[i], DiffToken::Sentence(s) if !s.is_empty()))
 }
@@ -139,19 +139,28 @@ pub fn arrow(site: usize, total: usize, img: &str, alt: &str) -> String {
     )
 }
 
-/// Renders an old (deleted) sentence: struck-out words, markups elided.
-pub fn render_old_sentence(s: &Sentence) -> String {
-    let words = s.render_words_only();
-    if words.is_empty() {
-        String::new()
-    } else {
-        format!("<STRIKE>{words}</STRIKE>")
+/// Appends an old (deleted) sentence to `out`: struck-out words, markups
+/// elided. Writes nothing and returns false when the sentence renders no
+/// words.
+pub fn push_old_sentence(out: &mut String, s: &Sentence<'_>) -> bool {
+    let mark = out.len();
+    out.push_str("<STRIKE>");
+    let words = out.len();
+    s.render_words_only_into(out);
+    if out.len() == words {
+        out.truncate(mark);
+        return false;
     }
+    out.push_str("</STRIKE>");
+    true
 }
 
-/// Renders a new (inserted) sentence: emphasized, markups intact.
-pub fn render_new_sentence(s: &Sentence) -> String {
-    format!("<STRONG><I>{}</I></STRONG>", s.render())
+/// Appends a new (inserted) sentence to `out`: emphasized, markups
+/// intact.
+pub fn push_new_sentence(out: &mut String, s: &Sentence<'_>) {
+    out.push_str("<STRONG><I>");
+    s.render_into(out);
+    out.push_str("</I></STRONG>");
 }
 
 /// Renders the banner inserted at the front of the merged page (visible
@@ -173,9 +182,13 @@ pub fn banner(sites: usize, old_label: &str, new_label: &str) -> String {
 mod tests {
     use super::*;
     use crate::compare::{compare_tokens, CompareOptions};
+    use crate::token::TokenStream;
     use crate::tokenize::tokenize;
 
-    fn seg(old_html: &str, new_html: &str) -> (Vec<DiffToken>, Vec<DiffToken>, Vec<Segment>) {
+    fn seg<'a>(
+        old_html: &'a str,
+        new_html: &'a str,
+    ) -> (TokenStream<'a>, TokenStream<'a>, Vec<Segment>) {
         let old = tokenize(old_html);
         let new = tokenize(new_html);
         let al = compare_tokens(&old, &new, &CompareOptions::default());
@@ -239,7 +252,8 @@ mod tests {
     fn old_sentence_rendering_elides_markups() {
         let tokens = tokenize(r#"gone <A HREF="dead.html">link</A> text"#);
         let s = tokens[0].as_sentence().unwrap();
-        let r = render_old_sentence(s);
+        let mut r = String::new();
+        push_old_sentence(&mut r, s);
         assert_eq!(r, "<STRIKE>gone link text</STRIKE>");
         assert!(!r.contains("HREF"), "old markups must not appear");
     }
@@ -248,7 +262,8 @@ mod tests {
     fn new_sentence_rendering_keeps_markups() {
         let tokens = tokenize(r#"fresh <A HREF="new.html">link</A>"#);
         let s = tokens[0].as_sentence().unwrap();
-        let r = render_new_sentence(s);
+        let mut r = String::new();
+        push_new_sentence(&mut r, s);
         assert!(r.starts_with("<STRONG><I>"));
         assert!(r.contains("HREF=\"new.html\""));
     }

@@ -7,11 +7,17 @@
 //! any content... and should not affect comparison") except inside
 //! `<PRE>`, where each line becomes its own sentence so that layout
 //! changes in preformatted text are visible.
+//!
+//! Tokenization reads the document once. Words are slices of the source
+//! (the lexer's text runs borrow from it), and every hash comparison
+//! needs — each item's match hash, each token's class hash, content
+//! length and stream-hash part — is computed here, as the item is made
+//! (see [`TokenStream`]).
 
-use crate::token::{DiffToken, Inline, Sentence};
+use crate::token::{StreamBuilder, TokenStream};
 use aide_htmlkit::classify::{is_sentence_breaking, preserves_whitespace};
-use aide_htmlkit::lexer::{lex, TagKind, Token};
-use aide_htmlkit::text::split_words;
+use aide_htmlkit::lexer::{Lexer, TagKind, Token};
+use aide_htmlkit::text::words;
 
 /// Tokenizes an HTML document for comparison.
 ///
@@ -19,7 +25,6 @@ use aide_htmlkit::text::split_words;
 ///
 /// ```
 /// use aide_htmldiff::tokenize::tokenize;
-/// use aide_htmldiff::token::DiffToken;
 ///
 /// let tokens = tokenize("<P>One sentence. Another one!<HR>");
 /// // <P>, "One sentence.", "Another one!", <HR>
@@ -27,18 +32,11 @@ use aide_htmlkit::text::split_words;
 /// assert!(tokens[0].is_break());
 /// assert_eq!(tokens[1].as_sentence().unwrap().word_count(), 2);
 /// ```
-pub fn tokenize(html: &str) -> Vec<DiffToken> {
-    let mut out = Vec::new();
-    let mut current = Sentence::default();
+pub fn tokenize(html: &str) -> TokenStream<'_> {
+    let mut b = StreamBuilder::default();
     let mut pre_depth = 0usize;
 
-    let flush = |current: &mut Sentence, out: &mut Vec<DiffToken>| {
-        if !current.is_empty() {
-            out.push(DiffToken::Sentence(std::mem::take(current)));
-        }
-    };
-
-    for token in lex(html) {
+    for token in Lexer::new(html) {
         match token {
             Token::Comment(_) | Token::Declaration(_) => {
                 // Comments carry no content; the paper's comparison
@@ -53,10 +51,9 @@ pub fn tokenize(html: &str) -> Vec<DiffToken> {
                     }
                 }
                 if is_sentence_breaking(&tag.name) {
-                    flush(&mut current, &mut out);
-                    out.push(DiffToken::Break(tag));
+                    b.push_break(tag);
                 } else {
-                    current.items.push(Inline::Markup(tag));
+                    b.push_markup(tag);
                 }
             }
             Token::Text(text) => {
@@ -65,24 +62,24 @@ pub fn tokenize(html: &str) -> Vec<DiffToken> {
                     // per line.
                     for (k, line) in text.split('\n').enumerate() {
                         if k > 0 {
-                            flush(&mut current, &mut out);
+                            b.flush();
                         }
                         if !line.is_empty() {
-                            current.items.push(Inline::Word(line.to_string()));
+                            b.push_word(line);
                         }
                     }
                 } else {
-                    for word in split_words(&text) {
-                        current.items.push(Inline::Word(word.text));
+                    for word in words(text) {
+                        b.push_word(word.text);
                         if word.ends_sentence {
-                            flush(&mut current, &mut out);
+                            b.flush();
                         }
                     }
                 }
             }
         }
     }
-    flush(&mut current, &mut out);
+    let out = b.finish();
     if aide_obs::enabled() {
         aide_obs::counter("htmldiff.tokenize", 1);
         aide_obs::observe("htmldiff.tokenize.tokens", out.len() as u64);
@@ -93,6 +90,7 @@ pub fn tokenize(html: &str) -> Vec<DiffToken> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::DiffToken;
 
     fn sentences(tokens: &[DiffToken]) -> Vec<String> {
         tokens

@@ -80,7 +80,7 @@ proptest! {
                 for item in &s.items {
                     if let aide_htmldiff::Inline::Word(w) = item {
                         prop_assert!(
-                            r.html.contains(w.as_str()),
+                            r.html.contains(w),
                             "word {w:?} missing from merged page"
                         );
                     }

@@ -118,16 +118,26 @@ fn decode_one(name: &str) -> Option<String> {
 /// ```
 pub fn encode_entities(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
-    }
+    encode_entities_into(text, &mut out);
     out
+}
+
+/// [`encode_entities`], appended to `out`.
+pub fn encode_entities_into(text: &str, out: &mut String) {
+    let mut plain = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escaped = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&text[plain..i]);
+        out.push_str(escaped);
+        plain = i + 1;
+    }
+    out.push_str(&text[plain..]);
 }
 
 #[cfg(test)]

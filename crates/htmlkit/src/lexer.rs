@@ -10,7 +10,7 @@
 //! case-sensitively (URLs are case-sensitive); character entities in
 //! values are decoded at lex time and re-encoded at serialization.
 
-use crate::entity::{decode_entities, encode_entities};
+use crate::entity::{decode_entities, encode_entities_into};
 use std::fmt;
 
 /// Whether a tag opens, closes, or self-closes an element.
@@ -64,33 +64,42 @@ impl Tag {
 
     /// Returns the value of attribute `name` (case-insensitive).
     pub fn attr(&self, name: &str) -> Option<&str> {
-        let upper = name.to_ascii_uppercase();
         self.attrs
             .iter()
-            .find(|(n, _)| *n == upper)
+            .find(|(n, _)| is_upper_of(n, name))
             .and_then(|(_, v)| v.as_deref())
     }
 
     /// Replaces or inserts attribute `name`.
     pub fn set_attr(&mut self, name: &str, value: &str) {
-        let upper = name.to_ascii_uppercase();
         for (n, v) in self.attrs.iter_mut() {
-            if *n == upper {
+            if is_upper_of(n, name) {
                 *v = Some(value.to_string());
                 return;
             }
         }
-        self.attrs.push((upper, Some(value.to_string())));
+        self.attrs
+            .push((name.to_ascii_uppercase(), Some(value.to_string())));
     }
 
     /// Equality modulo attribute order — the comparison the paper's
     /// sentence-breaking markup match uses: "identical (modulo whitespace,
     /// case, and reordering of (variable,value) pairs)".
+    ///
+    /// Attribute lists of at most one entry, or equal in source order
+    /// (the common case: a page's template rarely reorders), compare in
+    /// place; only genuinely reordered lists pay for sorting.
     pub fn matches_modulo_order(&self, other: &Tag) -> bool {
         if self.name != other.name
             || self.kind != other.kind
             || self.attrs.len() != other.attrs.len()
         {
+            return false;
+        }
+        if self.attrs == other.attrs {
+            return true;
+        }
+        if self.attrs.len() <= 1 {
             return false;
         }
         let mut mine: Vec<_> = self.attrs.iter().collect();
@@ -99,43 +108,68 @@ impl Tag {
         theirs.sort();
         mine == theirs
     }
+
+    /// Appends the tag's HTML to `out`: the uppercase name, attributes
+    /// in source order with values quoted and entity-encoded. The
+    /// [`Display`](fmt::Display) form is the same text.
+    pub fn write_to(&self, out: &mut String) {
+        if self.kind == TagKind::Close {
+            out.push_str("</");
+            out.push_str(&self.name);
+            out.push('>');
+            return;
+        }
+        out.push('<');
+        out.push_str(&self.name);
+        for (n, v) in &self.attrs {
+            out.push(' ');
+            out.push_str(n);
+            if let Some(val) = v {
+                out.push_str("=\"");
+                encode_entities_into(val, out);
+                out.push('"');
+            }
+        }
+        if self.kind == TagKind::SelfClose {
+            out.push_str(" /");
+        }
+        out.push('>');
+    }
+}
+
+/// True if `stored` equals `name` uppercased, compared in place.
+fn is_upper_of(stored: &str, name: &str) -> bool {
+    stored.len() == name.len()
+        && stored
+            .bytes()
+            .zip(name.bytes())
+            .all(|(s, n)| s == n.to_ascii_uppercase())
 }
 
 impl fmt::Display for Tag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            TagKind::Close => write!(f, "</{}>", self.name),
-            _ => {
-                write!(f, "<{}", self.name)?;
-                for (n, v) in &self.attrs {
-                    match v {
-                        Some(val) => write!(f, " {}=\"{}\"", n, encode_entities(val))?,
-                        None => write!(f, " {}", n)?,
-                    }
-                }
-                if self.kind == TagKind::SelfClose {
-                    write!(f, " /")?;
-                }
-                write!(f, ">")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
-/// One lexical token of an HTML document.
+/// One lexical token of an HTML document. Text, comments and
+/// declarations borrow their bytes from the source; tags own their
+/// normalized name and attributes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Token {
+pub enum Token<'a> {
     /// A run of character data between tags, verbatim (entities intact).
-    Text(String),
+    Text(&'a str),
     /// A markup tag.
     Tag(Tag),
     /// `<!-- ... -->` with the inner text.
-    Comment(String),
+    Comment(&'a str),
     /// `<!DOCTYPE ...>` or any other `<!...>` declaration, inner text.
-    Declaration(String),
+    Declaration(&'a str),
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Returns the tag if this token is one.
     pub fn as_tag(&self) -> Option<&Tag> {
         match self {
@@ -145,7 +179,7 @@ impl Token {
     }
 
     /// Returns the text if this token is character data.
-    pub fn as_text(&self) -> Option<&str> {
+    pub fn as_text(&self) -> Option<&'a str> {
         match self {
             Token::Text(t) => Some(t),
             _ => None,
@@ -164,85 +198,118 @@ impl Token {
 /// let tokens = lex("<P>Hello <B>world</B>!");
 /// assert_eq!(tokens.len(), 6);
 /// assert!(matches!(&tokens[0], Token::Tag(t) if t.name == "P"));
-/// assert!(matches!(&tokens[1], Token::Text(t) if t == "Hello "));
+/// assert!(matches!(tokens[1], Token::Text("Hello ")));
 /// ```
-pub fn lex(html: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    let mut text_start = 0;
+pub fn lex(html: &str) -> Vec<Token<'_>> {
+    Lexer::new(html).collect()
+}
 
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
+/// The lexer as an iterator: [`lex`] without the token vector, for
+/// consumers that walk the document once.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    html: &'a str,
+    /// Next byte to examine.
+    i: usize,
+    /// Start of the text run not yet emitted.
+    text_start: usize,
+    /// A markup token found right after a text run, emitted next.
+    pending: Option<Token<'a>>,
+}
+
+impl<'a> Lexer<'a> {
+    /// Starts lexing `html`.
+    pub fn new(html: &'a str) -> Lexer<'a> {
+        Lexer {
+            html,
+            i: 0,
+            text_start: 0,
+            pending: None,
         }
-        if html[i..].starts_with("<!--") {
-            if text_start < i {
-                tokens.push(Token::Text(html[text_start..i].to_string()));
+    }
+
+    /// Emits `markup`, which spans `[start, end)`, after the text run
+    /// that precedes it (if any).
+    fn emit(&mut self, start: usize, end: usize, markup: Token<'a>) -> Token<'a> {
+        let text =
+            (self.text_start < start).then(|| Token::Text(&self.html[self.text_start..start]));
+        self.i = end;
+        self.text_start = end;
+        match text {
+            Some(text) => {
+                self.pending = Some(markup);
+                text
             }
-            match html[i + 4..].find("-->") {
-                Some(end) => {
-                    tokens.push(Token::Comment(html[i + 4..i + 4 + end].to_string()));
-                    i += 4 + end + 3;
-                }
-                None => {
+            None => markup,
+        }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(t) = self.pending.take() {
+            return Some(t);
+        }
+        let html = self.html;
+        let bytes = html.as_bytes();
+        while self.i < bytes.len() {
+            let i = self.i;
+            if bytes[i] != b'<' {
+                self.i = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'<')
+                    .map_or(bytes.len(), |p| i + p);
+                continue;
+            }
+            if html[i..].starts_with("<!--") {
+                return Some(match html[i + 4..].find("-->") {
+                    Some(end) => self.emit(
+                        i,
+                        i + 4 + end + 3,
+                        Token::Comment(&html[i + 4..i + 4 + end]),
+                    ),
                     // Unterminated comment swallows the rest of the file.
-                    tokens.push(Token::Comment(html[i + 4..].to_string()));
-                    i = bytes.len();
-                }
+                    None => self.emit(i, bytes.len(), Token::Comment(&html[i + 4..])),
+                });
             }
-            text_start = i;
-            continue;
-        }
-        if html[i..].starts_with("<!") {
-            if text_start < i {
-                tokens.push(Token::Text(html[text_start..i].to_string()));
+            if html[i..].starts_with("<!") {
+                return Some(match html[i..].find('>') {
+                    Some(end) => {
+                        self.emit(i, i + end + 1, Token::Declaration(&html[i + 2..i + end]))
+                    }
+                    None => self.emit(i, bytes.len(), Token::Declaration(&html[i + 2..])),
+                });
             }
-            match html[i..].find('>') {
-                Some(end) => {
-                    tokens.push(Token::Declaration(html[i + 2..i + end].to_string()));
-                    i += end + 1;
-                }
+            // A '<' not followed by a letter or '/' is literal text.
+            let next = bytes.get(i + 1).copied();
+            let is_tag_start = matches!(next, Some(c) if c.is_ascii_alphabetic() || c == b'/');
+            if !is_tag_start {
+                self.i = i + 1;
+                continue;
+            }
+            match parse_tag(html, i) {
+                Some((tag, consumed)) => return Some(self.emit(i, i + consumed, Token::Tag(tag))),
                 None => {
-                    tokens.push(Token::Declaration(html[i + 2..].to_string()));
-                    i = bytes.len();
+                    // Unterminated tag: flush preceding text, keep the
+                    // rest as a final text run.
+                    self.i = bytes.len();
+                    if self.text_start < i {
+                        let text = Token::Text(&html[self.text_start..i]);
+                        self.text_start = i;
+                        return Some(text);
+                    }
                 }
             }
-            text_start = i;
-            continue;
         }
-        // A '<' not followed by a letter or '/' is literal text.
-        let next = bytes.get(i + 1).copied();
-        let is_tag_start = matches!(next, Some(c) if c.is_ascii_alphabetic() || c == b'/');
-        if !is_tag_start {
-            i += 1;
-            continue;
+        if self.text_start < bytes.len() {
+            let text = Token::Text(&html[self.text_start..]);
+            self.text_start = bytes.len();
+            return Some(text);
         }
-        match parse_tag(html, i) {
-            Some((tag, consumed)) => {
-                if text_start < i {
-                    tokens.push(Token::Text(html[text_start..i].to_string()));
-                }
-                tokens.push(Token::Tag(tag));
-                i += consumed;
-                text_start = i;
-            }
-            None => {
-                // Unterminated tag: flush preceding text, keep the rest as
-                // a final text run.
-                if text_start < i {
-                    tokens.push(Token::Text(html[text_start..i].to_string()));
-                }
-                text_start = i;
-                break;
-            }
-        }
+        None
     }
-    if text_start < bytes.len() {
-        tokens.push(Token::Text(html[text_start..].to_string()));
-    }
-    tokens
 }
 
 /// Parses a tag beginning at byte `start` (which is `<`). Returns the tag
@@ -355,7 +422,7 @@ pub fn serialize(tokens: &[Token]) -> String {
     for t in tokens {
         match t {
             Token::Text(s) => out.push_str(s),
-            Token::Tag(tag) => out.push_str(&tag.to_string()),
+            Token::Tag(tag) => tag.write_to(&mut out),
             Token::Comment(c) => {
                 out.push_str("<!--");
                 out.push_str(c);
@@ -421,16 +488,16 @@ mod tests {
     fn comments_and_declarations() {
         let tokens = lex("<!DOCTYPE HTML PUBLIC>before<!-- hidden -->after");
         assert!(matches!(&tokens[0], Token::Declaration(d) if d.starts_with("DOCTYPE")));
-        assert!(matches!(&tokens[1], Token::Text(t) if t == "before"));
-        assert!(matches!(&tokens[2], Token::Comment(c) if c == " hidden "));
-        assert!(matches!(&tokens[3], Token::Text(t) if t == "after"));
+        assert_eq!(tokens[1], Token::Text("before"));
+        assert_eq!(tokens[2], Token::Comment(" hidden "));
+        assert_eq!(tokens[3], Token::Text("after"));
     }
 
     #[test]
     fn unterminated_comment() {
         let tokens = lex("x<!-- never closed");
         assert_eq!(tokens.len(), 2);
-        assert!(matches!(&tokens[1], Token::Comment(c) if c == " never closed"));
+        assert_eq!(tokens[1], Token::Comment(" never closed"));
     }
 
     #[test]
@@ -493,6 +560,52 @@ mod tests {
             .unwrap()
             .clone();
         assert!(!a.matches_modulo_order(&c));
+    }
+
+    #[test]
+    fn matches_modulo_order_reordered_and_duplicated() {
+        let tag = |src: &str| lex(src)[0].as_tag().unwrap().clone();
+        // Three attributes, every order.
+        let a = tag("<TD NOWRAP WIDTH=10 COLSPAN=2>");
+        for src in [
+            "<td width=10 nowrap colspan=2>",
+            "<TD COLSPAN=2 WIDTH=10 NOWRAP>",
+            "<TD WIDTH=10 COLSPAN=2 NOWRAP>",
+        ] {
+            assert!(a.matches_modulo_order(&tag(src)), "{src}");
+            assert!(tag(src).matches_modulo_order(&a), "{src}");
+        }
+        // Duplicates count: same set, different multiplicities.
+        let dup = tag("<TD NOWRAP NOWRAP WIDTH=10>");
+        assert!(dup.matches_modulo_order(&tag("<TD WIDTH=10 NOWRAP NOWRAP>")));
+        assert!(dup.matches_modulo_order(&tag("<TD NOWRAP WIDTH=10 NOWRAP>")));
+        assert!(!dup.matches_modulo_order(&tag("<TD NOWRAP WIDTH=10 WIDTH=10>")));
+        assert!(!dup.matches_modulo_order(&tag("<TD NOWRAP WIDTH=10>")));
+        // One attribute: valueless vs valued, and values compared exactly.
+        assert!(!tag("<HR NOSHADE>").matches_modulo_order(&tag("<HR NOSHADE=1>")));
+        assert!(!tag("<HR SIZE=2>").matches_modulo_order(&tag("<HR SIZE=3>")));
+        assert!(tag("<HR size=2>").matches_modulo_order(&tag("<HR SIZE=2>")));
+        // A swapped value is not a reordering.
+        assert!(!tag("<P A=1 B=2>").matches_modulo_order(&tag("<P A=2 B=1>")));
+        assert!(tag("<P A=1 B=2>").matches_modulo_order(&tag("<P B=2 A=1>")));
+        // Kind and name still decide first.
+        assert!(!tag("<P A=1>").matches_modulo_order(&tag("<DIV A=1>")));
+        assert!(!tag("<A NAME=x>").matches_modulo_order(&tag("<A NAME=x/>")));
+    }
+
+    #[test]
+    fn attr_lookup_is_case_insensitive_in_place() {
+        let mut t = lex(r#"<a HrEf="x.html" name=top>"#)[0]
+            .as_tag()
+            .unwrap()
+            .clone();
+        assert_eq!(t.attr("href"), Some("x.html"));
+        assert_eq!(t.attr("HREF"), Some("x.html"));
+        assert_eq!(t.attr("hre"), None);
+        assert_eq!(t.attr("hrefs"), None);
+        t.set_attr("Name", "bottom");
+        assert_eq!(t.attrs.len(), 2);
+        assert_eq!(t.attr("NAME"), Some("bottom"));
     }
 
     #[test]

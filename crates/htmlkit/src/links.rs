@@ -124,8 +124,8 @@ pub fn extract_followable(tokens: &[Token], base: &Url) -> Vec<Url> {
 /// `base`, inserting one after `<HEAD>` (or at the front) if absent —
 /// what snapshot does before serving an archived copy so that relative
 /// links still work (§4.1).
-pub fn rewrite_base(tokens: &[Token], base: &Url) -> Vec<Token> {
-    let mut out: Vec<Token> = Vec::with_capacity(tokens.len() + 1);
+pub fn rewrite_base<'a>(tokens: &[Token<'a>], base: &Url) -> Vec<Token<'a>> {
+    let mut out: Vec<Token<'a>> = Vec::with_capacity(tokens.len() + 1);
     let mut replaced = false;
     for token in tokens {
         match token {

@@ -10,10 +10,11 @@
 
 /// A word plus the information needed to know whether an English sentence
 /// ends after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Word {
-    /// The word, verbatim (punctuation attached, entities intact).
-    pub text: String,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Word<'a> {
+    /// The word, verbatim (punctuation attached, entities intact): a
+    /// slice of the text it was split from.
+    pub text: &'a str,
     /// True if this word terminates an English sentence (`.`, `!`, `?`,
     /// possibly followed by closing quotes/brackets).
     pub ends_sentence: bool,
@@ -33,13 +34,17 @@ pub struct Word {
 /// assert!(!words[2].ends_sentence);
 /// assert!(words[3].ends_sentence);
 /// ```
-pub fn split_words(text: &str) -> Vec<Word> {
-    text.split_whitespace()
-        .map(|w| Word {
-            text: w.to_string(),
-            ends_sentence: word_ends_sentence(w),
-        })
-        .collect()
+pub fn split_words(text: &str) -> Vec<Word<'_>> {
+    words(text).collect()
+}
+
+/// [`split_words`] as an iterator, for callers that consume each word
+/// once.
+pub fn words(text: &str) -> impl Iterator<Item = Word<'_>> {
+    text.split_whitespace().map(|w| Word {
+        text: w,
+        ends_sentence: word_ends_sentence(w),
+    })
 }
 
 /// Decides whether a word terminates an English sentence.
@@ -48,6 +53,14 @@ pub fn split_words(text: &str) -> Vec<Word> {
 /// or brackets. Common abbreviations and single initials (`Dr.`, `U.S.`,
 /// `T.`) do not terminate.
 pub fn word_ends_sentence(word: &str) -> bool {
+    // Most words end in a letter: a last byte that is neither a
+    // terminator, an ASCII closer nor part of a non-ASCII closer (`»`)
+    // decides at once.
+    match word.as_bytes().last() {
+        Some(b'.' | b'!' | b'?' | b'"' | b'\'' | b')' | b']') => {}
+        Some(&b) if !b.is_ascii() => {}
+        _ => return false,
+    }
     // Strip trailing closers.
     let trimmed = word.trim_end_matches(['"', '\'', ')', ']', '»']);
     let Some(last) = trimmed.chars().last() else {
@@ -108,6 +121,16 @@ mod tests {
     }
 
     #[test]
+    fn last_byte_screen_keeps_non_ascii_closers() {
+        assert!(word_ends_sentence("«fini.»"));
+        assert!(word_ends_sentence("¿qué?"));
+        assert!(!word_ends_sentence("naïve»"));
+        assert!(!word_ends_sentence("café"));
+        assert!(!word_ends_sentence("1995,"));
+        assert!(!word_ends_sentence("x;"));
+    }
+
+    #[test]
     fn abbreviations_do_not_end() {
         assert!(!word_ends_sentence("Dr."));
         assert!(!word_ends_sentence("U.S."));
@@ -126,7 +149,7 @@ mod tests {
     fn split_counts_and_flags() {
         let w = split_words("One two. Three");
         assert_eq!(
-            w.iter().map(|x| x.text.as_str()).collect::<Vec<_>>(),
+            w.iter().map(|x| x.text).collect::<Vec<_>>(),
             vec!["One", "two.", "Three"]
         );
         assert_eq!(
