@@ -14,15 +14,21 @@
 //! while the serial rows flatline. On a single-core host neither can
 //! speed up in wall-clock terms; the comparison then shows the sharded
 //! path costing no more than the coarse lock it replaced.
+//!
+//! The worker threads start once per benchmark, before timing, and a
+//! barrier releases them for each iteration (see [`iter_on_workers`]),
+//! so the multi-thread rows time the work rather than thread start-up.
 
 use aide_htmldiff::Options as DiffOptions;
 use aide_rcs::archive::RevId;
 use aide_rcs::repo::MemRepository;
 use aide_snapshot::service::{SnapshotService, UserId};
-use aide_util::sync::Mutex;
+use aide_util::sync::{Mutex, RwLock};
 use aide_util::time::{Clock, Duration, Timestamp};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 const URLS: usize = 48;
 const REVS: usize = 5;
@@ -49,32 +55,71 @@ fn body(u: usize, r: usize) -> String {
     )
 }
 
-/// Runs `URLS * REVS` remembers against `service`, the URL space split
-/// evenly across `threads` workers. With `global: Some(..)` every
+/// Times `work` on `threads` worker threads. The workers start once,
+/// before timing; each iteration builds its input with `prepare` on the
+/// timing thread, releases every worker through a barrier to run
+/// `work(&input, t)`, and waits at a second barrier for all of them to
+/// finish; `finish` then consumes the input.
+fn iter_on_workers<S: Send + Sync>(
+    b: &mut Bencher,
+    threads: usize,
+    mut prepare: impl FnMut() -> S,
+    work: impl Fn(&S, usize) + Sync,
+    finish: impl Fn(S) -> usize,
+) {
+    let input: RwLock<Option<S>> = RwLock::new(None);
+    let start = Barrier::new(threads + 1);
+    let done = Barrier::new(threads + 1);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (input, start, done, stop, work) = (&input, &start, &done, &stop, &work);
+            scope.spawn(move || loop {
+                start.wait();
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                // Shared guards: the workers never serialize on the
+                // input, and the timing thread writes it only while they
+                // wait at a barrier.
+                if let Some(shared) = input.read().as_ref() {
+                    work(shared, t);
+                }
+                done.wait();
+            });
+        }
+        b.iter(|| {
+            *input.write() = Some(prepare());
+            start.wait();
+            done.wait();
+            let taken = input.write().take();
+            taken.map(&finish)
+        });
+        stop.store(true, Ordering::Release);
+        start.wait();
+    });
+}
+
+/// One worker's share of `URLS * REVS` remembers against `service`:
+/// the URLs `t, t + threads, ...`. With `global: Some(..)` every
 /// operation first funnels through that one mutex — the pre-refactor
 /// serial design; with `None`, only the service's own per-URL locks
 /// apply.
-fn run_remembers(
+fn remember_share(
     service: &SnapshotService<MemRepository>,
+    t: usize,
     threads: usize,
     global: Option<&Mutex<()>>,
 ) {
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let s = &service;
-            scope.spawn(move || {
-                let user = UserId::new(&format!("bench{t}@x"));
-                let mut u = t;
-                while u < URLS {
-                    for r in 0..REVS {
-                        let _serial = global.map(|m| m.lock());
-                        s.remember(&user, &url(u), &body(u, r)).unwrap();
-                    }
-                    u += threads;
-                }
-            });
+    let user = UserId::new(&format!("bench{t}@x"));
+    let mut u = t;
+    while u < URLS {
+        for r in 0..REVS {
+            let _serial = global.map(|m| m.lock());
+            service.remember(&user, &url(u), &body(u, r)).unwrap();
         }
-    });
+        u += threads;
+    }
 }
 
 fn bench_remember_scaling(c: &mut Criterion) {
@@ -87,11 +132,13 @@ fn bench_remember_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
-                    b.iter(|| {
-                        let service = fresh_service();
-                        run_remembers(&service, threads, global);
-                        black_box(service.snapshot_stats().remembers)
-                    });
+                    iter_on_workers(
+                        b,
+                        threads,
+                        fresh_service,
+                        |service, t| remember_share(service, t, threads, global),
+                        |service| service.snapshot_stats().remembers as usize,
+                    );
                 },
             );
         }
@@ -117,30 +164,30 @@ fn bench_diff_cache_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| {
-                    std::thread::scope(|scope| {
-                        for t in 0..threads {
-                            let s = &service;
-                            scope.spawn(move || {
-                                let mut u = t;
-                                while u < URLS {
-                                    black_box(
-                                        s.diff_versions(
-                                            &url(u),
-                                            RevId(1),
-                                            RevId(2),
-                                            &DiffOptions::default(),
-                                        )
-                                        .unwrap()
-                                        .html
-                                        .len(),
-                                    );
-                                    u += threads;
-                                }
-                            });
+                iter_on_workers(
+                    b,
+                    threads,
+                    || &service,
+                    |service, t| {
+                        let mut u = t;
+                        while u < URLS {
+                            black_box(
+                                service
+                                    .diff_versions(
+                                        &url(u),
+                                        RevId(1),
+                                        RevId(2),
+                                        &DiffOptions::default(),
+                                    )
+                                    .unwrap()
+                                    .html
+                                    .len(),
+                            );
+                            u += threads;
                         }
-                    });
-                });
+                    },
+                    |_| 0,
+                );
             },
         );
     }

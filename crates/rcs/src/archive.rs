@@ -8,7 +8,7 @@
 //! datestamp and a log message, and can be fetched by number or by date —
 //! the "time travel" §2.2 compares to 3DFS.
 
-use crate::delta::{Delta, DeltaError};
+use crate::delta::{Delta, DeltaError, LineShape};
 use aide_util::time::Timestamp;
 use std::fmt;
 
@@ -257,6 +257,73 @@ impl Archive {
         });
         self.head_text = text.to_string();
         Ok(CheckinOutcome::NewRevision(id))
+    }
+
+    /// If `self` is `prior` plus exactly one check-in, returns that
+    /// check-in: the new revision's metadata and the reverse delta that
+    /// recovers `prior`'s head from `self`'s. Replaying it onto `prior`
+    /// with [`Archive::push_checkin`] rebuilds `self` exactly.
+    ///
+    /// Checks every earlier revision's metadata and delta for equality,
+    /// and that the new delta applied to the new head gives `prior`'s
+    /// head — no delta is computed.
+    pub fn checkin_since(&self, prior: &Archive) -> Option<(&RevisionMeta, &Delta)> {
+        let n = prior.metas.len();
+        if self.metas.len() != n + 1
+            || self.description != prior.description
+            || self.metas[..n] != prior.metas[..]
+            || self.reverse_deltas[..n - 1] != prior.reverse_deltas[..]
+        {
+            return None;
+        }
+        let reverse = &self.reverse_deltas[n - 1];
+        match reverse.apply(&self.head_text) {
+            Ok(text) if text == prior.head_text => Some((&self.metas[n], reverse)),
+            _ => None,
+        }
+    }
+
+    /// Appends one check-in as [`Archive::checkin_since`] reported it:
+    /// pushes `reverse` and a revision `id` carrying `date`, `author` and
+    /// `log`, and makes `head` the head text. The inverse of
+    /// `checkin_since`, used to replay a stored check-in.
+    ///
+    /// `id` must be the next revision, and `reverse` must apply to
+    /// `head` and give a text as long as the current head — the checks
+    /// [`parse`](crate::format::parse) makes of every stored delta.
+    pub fn push_checkin(
+        &mut self,
+        id: RevId,
+        date: Timestamp,
+        author: String,
+        log: String,
+        reverse: Delta,
+        head: String,
+    ) -> Result<(), ArchiveError> {
+        if id != self.head().next() {
+            return Err(ArchiveError::Corrupt(format!(
+                "check-in {id} does not follow head {}",
+                self.head()
+            )));
+        }
+        let recovered = reverse.apply_to_shapes(&LineShape::lines_of(&head))?;
+        let recovered_len: usize = recovered.iter().map(|l| l.len).sum();
+        if recovered_len != self.head_text.len() {
+            return Err(ArchiveError::Corrupt(format!(
+                "delta for check-in {id} recovers {recovered_len} bytes, head has {}",
+                self.head_text.len()
+            )));
+        }
+        self.reverse_deltas.push(reverse);
+        self.metas.push(RevisionMeta {
+            id,
+            date,
+            author,
+            log,
+            text_len: head.len(),
+        });
+        self.head_text = head;
+        Ok(())
     }
 
     /// Checks out the full text of `rev` (`co -r`).
@@ -511,6 +578,68 @@ mod tests {
         let a = sample();
         assert_eq!(a.meta(RevId(2)).unwrap().author, "bob");
         assert!(a.meta(RevId(99)).is_err());
+    }
+
+    #[test]
+    fn checkin_since_finds_exactly_one_new_revision() {
+        let prior = sample();
+        let mut next = prior.clone();
+        next.checkin("v4\ncommon\n", "carol", "fourth", t(3))
+            .unwrap();
+        let (meta, reverse) = next.checkin_since(&prior).unwrap();
+        assert_eq!(meta.id, RevId(4));
+        let mut replayed = prior.clone();
+        replayed
+            .push_checkin(
+                meta.id,
+                meta.date,
+                meta.author.clone(),
+                meta.log.clone(),
+                reverse.clone(),
+                next.head_text().to_string(),
+            )
+            .unwrap();
+        assert_eq!(replayed, next);
+
+        // Not one check-in on top: same archive, two on top, or a
+        // different history of the right length.
+        assert!(prior.checkin_since(&prior).is_none());
+        let mut two = next.clone();
+        two.checkin("v5\n", "carol", "fifth", t(4)).unwrap();
+        assert!(two.checkin_since(&prior).is_none());
+        let mut other = Archive::create("http://x/", "other\n", "alice", "first", t(0));
+        for (i, body) in ["o2\n", "o3\n", "o4\n"].iter().enumerate() {
+            other.checkin(body, "bob", "edit", t(i as u64 + 1)).unwrap();
+        }
+        assert!(other.checkin_since(&prior).is_none());
+    }
+
+    #[test]
+    fn push_checkin_rejects_gaps_and_bad_deltas() {
+        let prior = sample();
+        let mut next = prior.clone();
+        next.checkin("v4\n", "carol", "fourth", t(3)).unwrap();
+        let (meta, reverse) = next.checkin_since(&prior).unwrap();
+        let mut a = prior.clone();
+        let gap = a.push_checkin(
+            RevId(5),
+            meta.date,
+            "c".into(),
+            "l".into(),
+            reverse.clone(),
+            "v4\n".into(),
+        );
+        assert!(matches!(gap, Err(ArchiveError::Corrupt(_))));
+        let wrong_head = a.push_checkin(
+            RevId(4),
+            meta.date,
+            "c".into(),
+            "l".into(),
+            reverse.clone(),
+            "v4\nplus a line that the delta does not expect\n".into(),
+        );
+        assert!(matches!(wrong_head, Err(ArchiveError::Corrupt(_))));
+        assert_eq!(a, prior, "a rejected check-in changes nothing");
     }
 
     #[test]

@@ -23,13 +23,16 @@ pub enum Edit {
         /// Number of lines deleted.
         count: usize,
     },
-    /// Insert `lines` after 1-based input line `line` (0 = at the top).
+    /// Insert the lines of `text` after 1-based input line `line` (0 = at
+    /// the top).
     Add {
         /// 1-based input line after which to insert.
         line: usize,
-        /// The inserted lines, each retaining its `\n` (the final one may
-        /// lack it).
-        lines: Vec<String>,
+        /// The inserted lines, concatenated, each retaining its `\n` (the
+        /// final one may lack it). One string rather than one per line:
+        /// archives hold many deltas, and every line would otherwise be
+        /// its own allocation.
+        text: String,
     },
 }
 
@@ -82,7 +85,7 @@ impl Delta {
                 } => {
                     edits.push(Edit::Add {
                         line: a_pos,
-                        lines: diff.new_lines[b_start..b_start + len].to_vec(),
+                        text: diff.new_lines[b_start..b_start + len].concat(),
                     });
                 }
             }
@@ -100,7 +103,7 @@ impl Delta {
         self.edits
             .iter()
             .map(|e| match e {
-                Edit::Add { lines, .. } => lines.len(),
+                Edit::Add { text, .. } => line_count(text),
                 _ => 0,
             })
             .sum()
@@ -124,6 +127,57 @@ impl Delta {
     pub fn apply(&self, input: &str) -> Result<String, DeltaError> {
         let lines = split_keep_newlines(input);
         let mut out = String::with_capacity(input.len());
+        self.walk(lines.len(), |step| match step {
+            Step::Copy(range) => {
+                for l in &lines[range] {
+                    out.push_str(l);
+                }
+            }
+            Step::Add(add) => out.push_str(add),
+        })?;
+        Ok(out)
+    }
+
+    /// Applies the delta to a text known only by its lines' shapes,
+    /// returning the shapes of the output's lines: the same checks as
+    /// [`Delta::apply`], and the same line structure, without building
+    /// the text. A line that lacks its `\n` joins the next one, exactly
+    /// as re-splitting the concatenated output would.
+    pub(crate) fn apply_to_shapes(
+        &self,
+        input: &[LineShape],
+    ) -> Result<Vec<LineShape>, DeltaError> {
+        let mut out: Vec<LineShape> = Vec::with_capacity(input.len() + self.lines_added());
+        fn push(out: &mut Vec<LineShape>, line: LineShape) {
+            if line.len == 0 {
+                return;
+            }
+            match out.last_mut() {
+                Some(prev) if !prev.newline => {
+                    prev.len += line.len;
+                    prev.newline = line.newline;
+                }
+                _ => out.push(line),
+            }
+        }
+        self.walk(input.len(), |step| match step {
+            Step::Copy(range) => {
+                for &l in &input[range] {
+                    push(&mut out, l);
+                }
+            }
+            Step::Add(add) => {
+                for l in split_keep_newlines(add) {
+                    push(&mut out, LineShape::of(l));
+                }
+            }
+        })?;
+        Ok(out)
+    }
+
+    /// Walks the script over an input of `n` lines, checking each command
+    /// as it goes, and reports the output in order.
+    fn walk<'s>(&'s self, n: usize, mut step: impl FnMut(Step<'s>)) -> Result<(), DeltaError> {
         let mut cursor = 0usize; // 0-based index of next uncopied input line
         for edit in &self.edits {
             match edit {
@@ -136,66 +190,80 @@ impl Delta {
                             "delete at line {line} overlaps earlier edit"
                         )));
                     }
-                    if start + count > lines.len() {
+                    if start.saturating_add(*count) > n {
                         return Err(DeltaError(format!(
-                            "delete {count}@{line} past end of {} lines",
-                            lines.len()
+                            "delete {count}@{line} past end of {n} lines"
                         )));
                     }
-                    for l in &lines[cursor..start] {
-                        out.push_str(l);
-                    }
+                    step(Step::Copy(cursor..start));
                     cursor = start + count;
                 }
-                Edit::Add { line, lines: add } => {
+                Edit::Add { line, text } => {
                     if *line < cursor {
                         return Err(DeltaError(format!(
                             "add after line {line} overlaps earlier edit"
                         )));
                     }
-                    if *line > lines.len() {
+                    if *line > n {
                         return Err(DeltaError(format!(
-                            "add after line {line} past end of {} lines",
-                            lines.len()
+                            "add after line {line} past end of {n} lines"
                         )));
                     }
-                    for l in &lines[cursor..*line] {
-                        out.push_str(l);
-                    }
+                    step(Step::Copy(cursor..*line));
                     cursor = *line;
-                    for l in add {
-                        out.push_str(l);
-                    }
+                    step(Step::Add(text));
                 }
             }
         }
-        for l in &lines[cursor..] {
-            out.push_str(l);
-        }
-        Ok(out)
+        step(Step::Copy(cursor..n));
+        Ok(())
     }
 
     /// Serializes in `diff -n` syntax (the body of an RCS delta).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.text_len());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the [`Delta::to_text`] serialization to `out`.
+    pub fn write_to(&self, out: &mut String) {
         for edit in &self.edits {
             match edit {
                 Edit::Delete { line, count } => {
-                    out.push_str(&format!("d{line} {count}\n"));
+                    out.push('d');
+                    push_usize(out, *line);
+                    out.push(' ');
+                    push_usize(out, *count);
+                    out.push('\n');
                 }
-                Edit::Add { line, lines } => {
-                    out.push_str(&format!("a{line} {}\n", lines.len()));
-                    for l in lines {
-                        // Lines are stored verbatim. Only the final line of
-                        // the final command can lack a newline (it can only
-                        // come from the end of the source text), so command
-                        // parsing never misfires on it.
-                        out.push_str(l);
-                    }
+                Edit::Add { line, text } => {
+                    out.push('a');
+                    push_usize(out, *line);
+                    out.push(' ');
+                    push_usize(out, line_count(text));
+                    out.push('\n');
+                    // Lines are stored verbatim. Only the final line of
+                    // the final command can lack a newline (it can only
+                    // come from the end of the source text), so command
+                    // parsing never misfires on it.
+                    out.push_str(text);
                 }
             }
         }
-        out
+    }
+
+    /// Length in bytes of [`Delta::to_text`], computed without building it.
+    pub fn text_len(&self) -> usize {
+        self.edits
+            .iter()
+            .map(|edit| match edit {
+                Edit::Delete { line, count } => 3 + digits(*line) + digits(*count),
+                Edit::Add { line, text } => {
+                    3 + digits(*line) + digits(line_count(text)) + text.len()
+                }
+            })
+            .sum()
     }
 
     /// Parses `diff -n` syntax produced by [`Delta::to_text`].
@@ -204,15 +272,15 @@ impl Delta {
     /// trailing newline round-trips exactly.
     pub fn parse(text: &str) -> Result<Delta, DeltaError> {
         let mut edits = Vec::new();
-        let lines = split_keep_newlines(text);
-        let mut i = 0;
-        while i < lines.len() {
-            let cmd = lines[i].trim_end_matches('\n');
-            i += 1;
+        let mut pos = 0;
+        while pos < text.len() {
+            let end = line_end(text, pos);
+            let cmd = text[pos..end].trim_end_matches('\n');
+            pos = end;
             if cmd.is_empty() {
                 continue;
             }
-            let (kind, rest) = cmd.split_at(1);
+            let (kind, rest) = cmd.split_at(cmd.chars().next().map_or(0, char::len_utf8));
             let mut nums = rest.split_whitespace();
             let line: usize = nums
                 .next()
@@ -225,16 +293,20 @@ impl Delta {
             match kind {
                 "d" => edits.push(Edit::Delete { line, count }),
                 "a" => {
-                    if i + count > lines.len() {
-                        return Err(DeltaError(format!(
-                            "add command wants {count} lines, {} remain",
-                            lines.len() - i
-                        )));
+                    // The added lines are one contiguous run of the text.
+                    let start = pos;
+                    for found in 0..count {
+                        if pos >= text.len() {
+                            return Err(DeltaError(format!(
+                                "add command wants {count} lines, {found} remain"
+                            )));
+                        }
+                        pos = line_end(text, pos);
                     }
-                    let add: Vec<String> =
-                        lines[i..i + count].iter().map(|s| s.to_string()).collect();
-                    i += count;
-                    edits.push(Edit::Add { line, lines: add });
+                    edits.push(Edit::Add {
+                        line,
+                        text: text[start..pos].to_string(),
+                    });
                 }
                 other => return Err(DeltaError(format!("unknown command {other:?}"))),
             }
@@ -245,7 +317,79 @@ impl Delta {
     /// Approximate storage cost of this delta in bytes, as stored in an
     /// archive file.
     pub fn byte_size(&self) -> usize {
-        self.to_text().len()
+        self.text_len()
+    }
+}
+
+/// One step of a delta's output, in order.
+enum Step<'s> {
+    /// Input lines kept unchanged.
+    Copy(std::ops::Range<usize>),
+    /// Lines a command inserts, concatenated.
+    Add(&'s str),
+}
+
+/// The shape of one line of a text: its byte length and whether it ends
+/// in `\n` (only a text's last line may not).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LineShape {
+    pub(crate) len: usize,
+    pub(crate) newline: bool,
+}
+
+impl LineShape {
+    pub(crate) fn of(line: &str) -> LineShape {
+        LineShape {
+            len: line.len(),
+            newline: line.ends_with('\n'),
+        }
+    }
+
+    /// The shapes of `text`'s lines, as [`split_keep_newlines`] cuts them.
+    pub(crate) fn lines_of(text: &str) -> Vec<LineShape> {
+        split_keep_newlines(text)
+            .into_iter()
+            .map(LineShape::of)
+            .collect()
+    }
+}
+
+/// Lines in `text`, as [`split_keep_newlines`] counts them.
+pub(crate) fn line_count(text: &str) -> usize {
+    let newlines = text.bytes().filter(|&b| b == b'\n').count();
+    newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))
+}
+
+/// The end of the line starting at byte `pos` (past its `\n`, if any).
+fn line_end(text: &str, pos: usize) -> usize {
+    text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1)
+}
+
+/// Decimal digits in `n`.
+pub(crate) fn digits(mut n: usize) -> usize {
+    let mut d = 1;
+    while n >= 10 {
+        n /= 10;
+        d += 1;
+    }
+    d
+}
+
+/// Appends `n` in decimal.
+pub(crate) fn push_usize(out: &mut String, n: usize) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut n = n;
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &b in &buf[i..] {
+        out.push(b as char);
     }
 }
 
@@ -289,7 +433,7 @@ mod tests {
             d.edits,
             vec![Edit::Add {
                 line: 0,
-                lines: vec!["a\n".into()]
+                text: "a\n".into()
             }]
         );
     }
@@ -329,7 +473,7 @@ mod tests {
         let d = Delta {
             edits: vec![Edit::Add {
                 line: 9,
-                lines: vec!["x\n".into()],
+                text: "x\n".into(),
             }],
         };
         assert!(d.apply("one\n").is_err());

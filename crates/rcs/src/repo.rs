@@ -36,7 +36,7 @@
 //! keeps on disk, so both backends agree byte-for-byte.
 
 use crate::archive::Archive;
-use crate::format::{emit, FormatError};
+use crate::format::{emit, emitted_len, FormatError};
 use aide_util::checksum::fnv1a64;
 use aide_util::sync::RwLock;
 use aide_util::vfs::VfsError;
@@ -309,9 +309,9 @@ impl Repository for MemRepository {
     }
 
     fn store(&self, key: &str, archive: &Archive) -> Result<(), RepoError> {
-        // Serialize outside the guard (guards are never held across
-        // emit); the length feeds the shard's running counters.
-        let bytes = emit(archive).len();
+        // Size outside the guard; the length feeds the shard's running
+        // counters.
+        let bytes = emitted_len(archive);
         let revisions = archive.len();
         let handle = Arc::new(archive.clone());
         let mut shard = self.shard(key).write();

@@ -12,51 +12,75 @@
 //!
 //! Keys hash into [`STORE_SHARDS`] shards (FNV-1a, the same function
 //! `MemRepository` buckets with). Each shard owns an in-memory index —
-//! key → (file, offset, length, emit bytes, revisions) — guarded by one
-//! mutex registered as the `store` lock class (rank 25): callers hold
-//! the per-URL named lock (rank 10) across read-modify-write, the store
-//! lock nests inside it, and the VFS's own structure guards (rank 30)
-//! nest inside that.
+//! key → record chain, emit bytes, revisions — guarded by one mutex
+//! registered as the `store` lock class (rank 25): callers hold the
+//! per-URL named lock (rank 10) across read-modify-write, the store lock
+//! nests inside it, and the VFS's own structure guards (rank 30) nest
+//! inside that.
+//!
+//! # Record chains
+//!
+//! A key's entry is a chain of frames, oldest first: one full
+//! `OP_STORE` base (the archive's `,v` text) and then one `OP_APPEND`
+//! increment per check-in stored on top of it (see [`frame`]). Each part
+//! has its own location, so a chain may start in a segment and end in
+//! the WAL; its WAL-resident parts are always a suffix.
 //!
 //! # Write path
 //!
-//! A mutation is one checksummed frame (see [`frame`])
-//! committed to the WAL with group commit (see [`Wal`]) *before* the
-//! index is updated. Once the WAL crosses a size threshold, a
-//! *checkpoint* relocates every WAL-resident record into a fresh
-//! per-shard segment file (fsynced), then truncates the log. Segments
-//! are immutable once written; superseded records make a segment
-//! partially dead, and *compaction* rewrites a shard's live records into
-//! one new segment and deletes the old ones — **oldest-first**, which is
-//! what makes tombstones safe: a tombstone always lives in a
-//! higher-numbered segment (or the WAL) than the record it masks, so no
-//! crash point can delete a tombstone while leaving the masked record.
+//! A mutation is one checksummed frame committed to the WAL with group
+//! commit (see [`Wal`]) *before* the index is updated. A store whose
+//! archive is the stored archive plus exactly one check-in — checked
+//! against the shard's cached copy — appends an increment: the new
+//! revision's metadata, its reverse delta and the new head, so the write
+//! costs the edit rather than the history. Any other store writes a full
+//! record and starts a new chain, and so does a check-in once the
+//! chain's increments would outweigh its base record (the fold rule,
+//! which bounds the bytes written per chain at twice its base).
+//!
+//! Once the WAL crosses a size threshold, a *checkpoint* relocates every
+//! WAL-resident record into a fresh per-shard segment file (fsynced),
+//! then truncates the log. Segments are immutable once written;
+//! superseded records make a segment partially dead, and *compaction*
+//! rewrites a shard's live records — every segment-resident part of a
+//! live chain, in chain order — into one new segment and deletes the old
+//! ones **oldest-first**, which is what makes tombstones safe: a
+//! tombstone always lives in a higher-numbered segment (or the WAL) than
+//! the record it masks, so no crash point can delete a tombstone while
+//! leaving the masked record.
 //!
 //! # Recovery invariant
 //!
 //! On open, segments replay in ascending id order, then the WAL; within
-//! a file, later frames win. Every file may carry a torn tail (a crash
-//! mid-append); recovery truncates each file at the first undecodable
-//! frame. Because frames are appended in operation order and fsynced
-//! before the operation is acknowledged, the recovered state is always
-//! a *prefix* of acknowledged history: every acknowledged store/remove
-//! either fully survives or (if the crash landed inside its commit,
-//! unacknowledged) fully disappears — never a half-applied record.
+//! a file, later frames win. An increment numbered `n` extends a key at
+//! `n - 1` revisions, is skipped by a key already at `n` or more (the
+//! window a checkpoint duplicates if it dies before truncating the WAL),
+//! and after a gap is chained anyway so the key surfaces as Corrupt at
+//! load. Every file may carry a torn tail (a crash mid-append); recovery
+//! truncates each file at the first undecodable frame. Because frames
+//! are appended in operation order and fsynced before the operation is
+//! acknowledged, the recovered state is always a *prefix* of
+//! acknowledged history: every acknowledged store/remove either fully
+//! survives or (if the crash landed inside its commit, unacknowledged)
+//! fully disappears — never a half-applied record.
 //!
 //! # Serving
 //!
-//! `load` reads one frame by exact location, re-verifies its checksum,
-//! parses the `,v` text, and keeps a small per-shard archive cache.
+//! `load` reads a chain's frames by exact location, re-verifies their
+//! checksums, parses the base's `,v` text and replays the increments
+//! (no delta is computed), and keeps a small per-shard archive cache.
 //! Stats are O(shards) running counters, byte-identical to
-//! `MemRepository`'s accounting: both count `emit(&archive).len()`.
+//! `MemRepository`'s accounting: both count `emitted_len(&archive)`.
 
-use crate::frame::{self, Frame};
+use crate::frame::{self, Frame, Increment, Record};
 use crate::wal::Wal;
-use aide_rcs::archive::Archive;
-use aide_rcs::format::{emit, parse};
+use aide_rcs::archive::{Archive, RevId};
+use aide_rcs::delta::Delta;
+use aide_rcs::format::{emit, emitted_len, parse};
 use aide_rcs::repo::{RepoError, Repository, StorageStats};
 use aide_util::checksum::fnv1a64;
 use aide_util::sync::{lockrank, Condvar, Mutex, MutexGuard};
+use aide_util::time::Timestamp;
 use aide_util::vfs::{read_exact, Vfs, VfsError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -94,7 +118,7 @@ impl Default for StoreOptions {
     }
 }
 
-/// Where a key's newest record currently lives.
+/// Where one of a key's records lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
     /// In the WAL (not yet checkpointed).
@@ -103,24 +127,63 @@ enum Loc {
     Seg(u32),
 }
 
+/// One durable record of a key: its frame's file, offset and length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Part {
+    loc: Loc,
+    off: u64,
+    len: u32,
+}
+
 /// One live key's index entry.
 #[derive(Debug, Clone)]
 struct Entry {
-    loc: Loc,
-    /// Byte offset of the frame inside its file.
-    off: u64,
-    /// Total frame length in bytes.
-    len: u32,
+    /// The key's records, oldest first: a full `OP_STORE` base, then
+    /// one `OP_APPEND` increment per check-in stored on top of it. Any
+    /// WAL-resident parts are a suffix (they are the newest).
+    chain: Vec<Part>,
     /// Length of the archive's `,v` serialization — the accounted size,
-    /// identical to `MemRepository`'s `emit().len()`.
+    /// identical to `MemRepository`'s `emitted_len()`.
     emit_len: u32,
     /// Revision count, recorded in the frame header so recovery can
     /// account stats without parsing archive bodies.
     revisions: u32,
     /// True if some segment still holds an older record for this key
-    /// while the newest lives in the WAL — a remove must then write a
-    /// tombstone at the next checkpoint.
+    /// while the whole chain lives in the WAL — a remove must then write
+    /// a tombstone at the next checkpoint.
     prior_seg: bool,
+}
+
+impl Entry {
+    fn new(part: Part, counts: Option<(u32, u32)>, prior_seg: bool) -> Entry {
+        // A payload too short for its counts is indexed anyway, so the
+        // key surfaces as Corrupt at load rather than silently vanishing.
+        let (revisions, emit_len) = counts.unwrap_or((0, 0));
+        Entry {
+            chain: vec![part],
+            emit_len,
+            revisions,
+            prior_seg,
+        }
+    }
+
+    fn tail(&self) -> Option<Part> {
+        self.chain.last().copied()
+    }
+
+    /// Bytes of this key's records that live in segments.
+    fn seg_bytes(&self) -> u64 {
+        self.chain
+            .iter()
+            .filter(|p| matches!(p.loc, Loc::Seg(_)))
+            .map(|p| p.len as u64)
+            .sum()
+    }
+
+    /// True if a segment holds any record of this key, live or masked.
+    fn touches_segments(&self) -> bool {
+        self.prior_seg || self.chain.iter().any(|p| matches!(p.loc, Loc::Seg(_)))
+    }
 }
 
 struct CacheSlot {
@@ -228,7 +291,7 @@ impl DiskRepository {
                 }
                 frames_replayed += frames.len() as u64;
                 for (off, f) in frames {
-                    Self::replay(shard, Loc::Seg(id), off, f);
+                    Self::replay(shard, Loc::Seg(id), off, &f);
                 }
                 shard.seg_lens.insert(id, clean_len as u64);
             }
@@ -249,8 +312,8 @@ impl DiskRepository {
                 }
                 frames_replayed += frames.len() as u64;
                 for (off, f) in frames {
-                    let shard = &mut shards[shard_of(&f.key)];
-                    Self::replay(shard, Loc::Wal, off, f);
+                    let shard = &mut shards[shard_of(f.key)];
+                    Self::replay(shard, Loc::Wal, off, &f);
                 }
                 clean_len as u64
             }
@@ -261,9 +324,7 @@ impl DiskRepository {
             for e in shard.index.values() {
                 shard.bytes += e.emit_len as u64;
                 shard.revisions += e.revisions as u64;
-                if matches!(e.loc, Loc::Seg(_)) {
-                    shard.live_seg_bytes += e.len as u64;
-                }
+                shard.live_seg_bytes += e.seg_bytes();
             }
         }
 
@@ -294,49 +355,56 @@ impl DiskRepository {
         DiskRepository::open(vfs, "", StoreOptions::default())
     }
 
-    /// Applies one recovered frame to a shard index (replay semantics:
-    /// later frames win, tombstones erase).
-    fn replay(shard: &mut Shard, loc: Loc, off: u64, f: Frame) {
-        match f.op {
-            frame::OP_STORE => {
-                let (revisions, emit_len) = match frame::split_payload(&f.data) {
-                    Ok((r, text)) => (r, text.len() as u32),
-                    // CRC-valid but malformed payload: index it so the
-                    // key surfaces as Corrupt at load, not silently gone.
-                    Err(_) => (0, 0),
-                };
-                let prior_seg = match loc {
-                    Loc::Seg(_) => false,
-                    Loc::Wal => {
-                        shard.wal_tombstones.remove(&f.key)
-                            || shard
-                                .index
-                                .get(&f.key)
-                                .map(|e| matches!(e.loc, Loc::Seg(_)) || e.prior_seg)
-                                .unwrap_or(false)
+    /// Applies one recovered frame to a shard index. Replay semantics:
+    /// later frames win and tombstones erase; an increment numbered
+    /// `n` extends a key at `n - 1` revisions, is skipped by a key that
+    /// already has `n` or more (a checkpoint's duplicated WAL window),
+    /// and after a gap is chained anyway so the key surfaces as Corrupt
+    /// at load.
+    fn replay(shard: &mut Shard, loc: Loc, off: u64, f: &Frame<'_>) {
+        let part = Part {
+            loc,
+            off,
+            len: f.len as u32,
+        };
+        let counts = f.counts();
+        if f.op == frame::OP_APPEND {
+            if let Some(e) = shard.index.get_mut(f.key) {
+                match counts {
+                    Some((n, _)) if n <= e.revisions => {}
+                    Some((n, emit_len)) => {
+                        e.chain.push(part);
+                        e.revisions = n;
+                        e.emit_len = emit_len;
                     }
-                };
-                shard.index.insert(
-                    f.key,
-                    Entry {
-                        loc,
-                        off,
-                        len: f.len as u32,
-                        emit_len,
-                        revisions,
-                        prior_seg,
-                    },
-                );
-            }
-            _ => {
-                if let Some(old) = shard.index.remove(&f.key) {
-                    if matches!(loc, Loc::Wal) && (matches!(old.loc, Loc::Seg(_)) || old.prior_seg)
-                    {
-                        shard.wal_tombstones.insert(f.key);
-                    }
+                    None => e.chain.push(part),
                 }
+                return;
             }
         }
+        if f.op == frame::OP_REMOVE {
+            if let Some(old) = shard.index.remove(f.key) {
+                if matches!(loc, Loc::Wal) && old.touches_segments() {
+                    shard.wal_tombstones.insert(f.key.to_string());
+                }
+            }
+            return;
+        }
+        // A base record, or an increment with nothing under it.
+        let prior_seg = match loc {
+            Loc::Seg(_) => false,
+            Loc::Wal => {
+                shard.wal_tombstones.remove(f.key)
+                    || shard
+                        .index
+                        .get(f.key)
+                        .map(Entry::touches_segments)
+                        .unwrap_or(false)
+            }
+        };
+        shard
+            .index
+            .insert(f.key.to_string(), Entry::new(part, counts, prior_seg));
     }
 
     fn shard_dir(&self, si: usize) -> String {
@@ -381,26 +449,84 @@ impl DiskRepository {
         }
     }
 
-    /// Reads, verifies and parses one record. Failures distinguish VFS
-    /// errors (possibly-stale locations) from true corruption.
-    fn read_archive(&self, path: &str, off: u64, len: u32, key: &str) -> Result<Archive, ReadFail> {
-        let buf = read_exact(self.vfs.as_ref(), path, off, len as usize).map_err(ReadFail::Vfs)?;
-        let f = frame::decode(&buf)
-            .map_err(|e| ReadFail::Corrupt(format!("frame at {path}+{off}: {e}")))?;
-        if f.op != frame::OP_STORE || f.key != key {
-            return Err(ReadFail::Corrupt(format!(
-                "frame at {path}+{off} is not a store record for this key"
-            )));
+    fn part_path(&self, si: usize, part: &Part) -> String {
+        match part.loc {
+            Loc::Wal => self.wal_path(),
+            Loc::Seg(id) => self.seg_path(si, id),
         }
-        let (_revs, text) = frame::split_payload(&f.data)
-            .map_err(|e| ReadFail::Corrupt(format!("payload at {path}+{off}: {e}")))?;
-        parse(text).map_err(|e| ReadFail::Corrupt(format!("archive text: {e}")))
+    }
+
+    /// Reads one record of `key`, checks its frame — checksum, and that
+    /// it belongs to `key` — and hands it to `read`.
+    fn with_part<T>(
+        &self,
+        si: usize,
+        part: &Part,
+        key: &str,
+        read: impl FnOnce(Frame<'_>) -> Result<T, ReadFail>,
+    ) -> Result<T, ReadFail> {
+        let path = self.part_path(si, part);
+        let buf = read_exact(self.vfs.as_ref(), &path, part.off, part.len as usize)
+            .map_err(ReadFail::Vfs)?;
+        match frame::decode(&buf) {
+            Ok(f) if f.key == key => read(f),
+            Ok(_) => Err(ReadFail::Corrupt(format!(
+                "frame at {path}+{} belongs to another key",
+                part.off
+            ))),
+            Err(e) => Err(ReadFail::Corrupt(format!(
+                "frame at {path}+{}: {e}",
+                part.off
+            ))),
+        }
+    }
+
+    /// Reads, verifies and rebuilds an archive from its record chain:
+    /// parses the base, then replays each increment — push its delta and
+    /// metadata, replace the head. Failures distinguish VFS errors
+    /// (possibly-stale locations) from true corruption.
+    fn read_chain(&self, si: usize, chain: &[Part], key: &str) -> Result<Archive, ReadFail> {
+        let corrupt = |detail: String| ReadFail::Corrupt(detail);
+        let (base, increments) = chain
+            .split_first()
+            .ok_or_else(|| corrupt("empty record chain".into()))?;
+        let mut archive = self.with_part(si, base, key, |f| match f.record() {
+            Ok(Record::Store { text, .. }) => {
+                parse(text).map_err(|e| corrupt(format!("archive text: {e}")))
+            }
+            _ => Err(corrupt("chain does not start with a store record".into())),
+        })?;
+        for part in increments {
+            self.with_part(si, part, key, |f| {
+                let Ok(Record::Append(inc)) = f.record() else {
+                    return Err(corrupt(format!(
+                        "record at +{} is not an increment",
+                        part.off
+                    )));
+                };
+                let reverse = Delta::parse(inc.delta)
+                    .map_err(|e| corrupt(format!("increment delta: {e}")))?;
+                archive
+                    .push_checkin(
+                        RevId(inc.revisions),
+                        Timestamp(inc.date),
+                        inc.author.to_string(),
+                        inc.log.to_string(),
+                        reverse,
+                        inc.head.to_string(),
+                    )
+                    .map_err(|e| corrupt(format!("increment {}: {e}", inc.revisions)))
+            })?;
+        }
+        Ok(archive)
     }
 
     /// Relocates every WAL-resident record into fresh per-shard segment
-    /// files, then truncates the WAL. Safe at any crash point: segments
-    /// are synced before the truncate, and replay order (segments, then
-    /// WAL, later-file-wins) makes the duplicated window idempotent.
+    /// files, then truncates the WAL. A key's WAL-resident records are
+    /// the newest part of its chain and move in chain order. Safe at any
+    /// crash point: segments are synced before the truncate, and replay
+    /// order (segments, then WAL, later-file-wins, increments already
+    /// applied skipped) makes the duplicated window idempotent.
     pub fn checkpoint(&self) -> Result<(), RepoError> {
         let pause = self.wal.pause_commits();
         if self.wal.is_empty() {
@@ -410,26 +536,31 @@ impl DiskRepository {
         let wal_path = self.wal_path();
         for si in 0..STORE_SHARDS {
             let (_held, mut sh) = self.lock_shard(si);
-            let wal_entries: Vec<(String, u64, u32)> = sh
+            let wal_parts: Vec<(String, usize, Part)> = sh
                 .index
                 .iter()
-                .filter(|(_, e)| matches!(e.loc, Loc::Wal))
-                .map(|(k, e)| (k.clone(), e.off, e.len))
+                .flat_map(|(k, e)| {
+                    e.chain
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| p.loc == Loc::Wal)
+                        .map(move |(i, p)| (k.clone(), i, *p))
+                })
                 .collect();
-            if wal_entries.is_empty() && sh.wal_tombstones.is_empty() {
+            if wal_parts.is_empty() && sh.wal_tombstones.is_empty() {
                 continue;
             }
             let seg_id = sh.next_seg;
             let seg_path = self.seg_path(si, seg_id);
             let mut out: Vec<u8> = Vec::new();
-            let mut relocated: Vec<(String, u64, u32)> = Vec::new();
-            for (key, off, len) in wal_entries {
-                let bytes = read_exact(self.vfs.as_ref(), &wal_path, off, len as usize)?;
-                relocated.push((key, out.len() as u64, len));
+            let mut relocated: Vec<(String, usize, u64)> = Vec::new();
+            for (key, i, part) in wal_parts {
+                let bytes = read_exact(self.vfs.as_ref(), &wal_path, part.off, part.len as usize)?;
+                relocated.push((key, i, out.len() as u64));
                 out.extend_from_slice(&bytes);
             }
             for key in sh.wal_tombstones.iter() {
-                out.extend_from_slice(&frame::encode(frame::OP_REMOVE, key, &[]));
+                out.extend_from_slice(&frame::encode(key, &Record::Remove));
             }
             self.vfs.append(&seg_path, &out)?;
             // aide-lint: allow(blocking-while-locked): checkpoint must
@@ -439,14 +570,17 @@ impl DiskRepository {
             sh.next_seg += 1;
             sh.seg_lens.insert(seg_id, out.len() as u64);
             moved_bytes += out.len() as u64;
-            for (key, off, len) in relocated {
+            let mut seg_bytes = 0u64;
+            for (key, i, off) in relocated {
                 if let Some(e) = sh.index.get_mut(&key) {
-                    e.loc = Loc::Seg(seg_id);
-                    e.off = off;
+                    let part = &mut e.chain[i];
+                    part.loc = Loc::Seg(seg_id);
+                    part.off = off;
                     e.prior_seg = false;
-                    sh.live_seg_bytes += len as u64;
+                    seg_bytes += part.len as u64;
                 }
             }
+            sh.live_seg_bytes += seg_bytes;
             sh.wal_tombstones.clear();
             sh.version += 1;
         }
@@ -467,7 +601,9 @@ impl DiskRepository {
 
     /// Rewrites shard `si`'s live segment records into one fresh segment
     /// and deletes the old segments oldest-first (the tombstone-safety
-    /// order — see module docs).
+    /// order — see module docs). Every segment-resident part of a live
+    /// chain is live, including the base of a key whose newest
+    /// increments are still in the WAL; parts keep their chain order.
     pub fn compact_shard(&self, si: usize) -> Result<(), RepoError> {
         let (_held, mut sh) = self.lock_shard(si);
         let old_ids: Vec<u32> = sh.seg_lens.keys().copied().collect();
@@ -475,26 +611,29 @@ impl DiskRepository {
             return Ok(());
         }
         let old_total: u64 = sh.seg_lens.values().sum();
-        let live: Vec<(String, u32, u64, u32)> = sh
+        let live: Vec<(String, usize, Part)> = sh
             .index
             .iter()
-            .filter_map(|(k, e)| match e.loc {
-                Loc::Seg(id) => Some((k.clone(), id, e.off, e.len)),
-                Loc::Wal => None,
+            .flat_map(|(k, e)| {
+                e.chain
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| matches!(p.loc, Loc::Seg(_)))
+                    .map(move |(i, p)| (k.clone(), i, *p))
             })
             .collect();
         let new_id = sh.next_seg;
         sh.next_seg += 1;
         let mut out: Vec<u8> = Vec::new();
-        let mut relocated: Vec<(String, u64)> = Vec::new();
-        for (key, seg, off, len) in &live {
+        let mut relocated: Vec<(String, usize, u64)> = Vec::new();
+        for (key, i, part) in live {
             let bytes = read_exact(
                 self.vfs.as_ref(),
-                &self.seg_path(si, *seg),
-                *off,
-                *len as usize,
+                &self.part_path(si, &part),
+                part.off,
+                part.len as usize,
             )?;
-            relocated.push((key.clone(), out.len() as u64));
+            relocated.push((key, i, out.len() as u64));
             out.extend_from_slice(&bytes);
         }
         if !out.is_empty() {
@@ -511,10 +650,10 @@ impl DiskRepository {
             sh.seg_lens.insert(new_id, out.len() as u64);
         }
         sh.live_seg_bytes = out.len() as u64;
-        for (key, off) in relocated {
+        for (key, i, off) in relocated {
             if let Some(e) = sh.index.get_mut(&key) {
-                e.loc = Loc::Seg(new_id);
-                e.off = off;
+                e.chain[i].loc = Loc::Seg(new_id);
+                e.chain[i].off = off;
             }
         }
         sh.version += 1;
@@ -601,6 +740,138 @@ impl DiskRepository {
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
     }
+
+    /// Where each record of `key`'s chain lives, oldest first: `None`
+    /// for the WAL, `Some(id)` for segment `id` of the key's shard.
+    /// Empty if the key is absent. For tests and tools.
+    pub fn chain_locations(&self, key: &str) -> Vec<Option<u32>> {
+        let (_held, sh) = self.lock_shard(shard_of(key));
+        sh.index
+            .get(key)
+            .map(|e| {
+                e.chain
+                    .iter()
+                    .map(|p| match p.loc {
+                        Loc::Wal => None,
+                        Loc::Seg(id) => Some(id),
+                    })
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// Stores `archive` as one increment on top of `key`'s chain, if it
+    /// is the stored archive plus exactly one check-in — judged against
+    /// the cached copy, which the caller's load normally just put there
+    /// — and the chain's increments would still total no more than its
+    /// base record (the fold rule). Returns `Ok(false)` when it wrote
+    /// nothing to the index; the caller then writes a full record.
+    fn store_increment(&self, si: usize, key: &str, archive: &Archive) -> Result<bool, RepoError> {
+        let (prior, base_len, increment_bytes) = {
+            let (_held, sh) = self.lock_shard(si);
+            let (Some(e), Some(slot)) = (sh.index.get(key), sh.cache.get(key)) else {
+                return Ok(false);
+            };
+            let increment_bytes: u64 = e.chain[1..].iter().map(|p| p.len as u64).sum();
+            (slot.archive.clone(), e.chain[0].len as u64, increment_bytes)
+        };
+        let Some((meta, reverse)) = archive.checkin_since(&prior) else {
+            return Ok(false);
+        };
+        let emit_len = emitted_len(archive) as u32;
+        let delta = reverse.to_text();
+        let buf = frame::encode(
+            key,
+            &Record::Append(Increment {
+                revisions: meta.id.0,
+                emit_len,
+                date: meta.date.0,
+                author: &meta.author,
+                log: &meta.log,
+                delta: &delta,
+                head: archive.head_text(),
+            }),
+        );
+        if increment_bytes + buf.len() as u64 > base_len {
+            return Ok(false);
+        }
+        let flen = buf.len() as u32;
+        {
+            let permit = self.wal.begin_commit();
+            let off = self.wal.commit(&permit, &buf)?;
+            let (_held, mut sh) = self.lock_shard(si);
+            // The cache holds exactly the archive the index describes,
+            // and every store or remove of the key replaces or drops it;
+            // so the same cached handle means the chain still ends where
+            // the increment was built. Callers serialize stores of one
+            // key, so it differs only if they do not; the full record
+            // the caller then writes lands after the increment and wins
+            // on replay.
+            let unchanged = sh
+                .cache
+                .get(key)
+                .is_some_and(|slot| Arc::ptr_eq(&slot.archive, &prior));
+            let Some(e) = sh.index.get_mut(key).filter(|_| unchanged) else {
+                return Ok(false);
+            };
+            e.chain.push(Part {
+                loc: Loc::Wal,
+                off,
+                len: flen,
+            });
+            let (old_emit, old_revisions) = (e.emit_len, e.revisions);
+            e.emit_len = emit_len;
+            e.revisions = meta.id.0;
+            sh.bytes = sh.bytes - old_emit as u64 + emit_len as u64;
+            sh.revisions = sh.revisions - old_revisions as u64 + meta.id.0 as u64;
+            Self::cache_insert(&self.opts, &mut sh, key, Arc::new(archive.clone()));
+        }
+        aide_obs::counter("store.append", 1);
+        aide_obs::counter("store.append.increment", 1);
+        aide_obs::counter("store.append.bytes", flen as u64);
+        Ok(true)
+    }
+
+    /// Stores `archive` as a full record, starting a new chain for `key`.
+    fn store_full(&self, si: usize, key: &str, archive: &Archive) -> Result<(), RepoError> {
+        let emitted = emit(archive);
+        let revisions = archive.len() as u32;
+        let buf = frame::encode(
+            key,
+            &Record::Store {
+                revisions,
+                text: &emitted,
+            },
+        );
+        let flen = buf.len() as u32;
+        {
+            let permit = self.wal.begin_commit();
+            let off = self.wal.commit(&permit, &buf)?;
+            let (_held, mut sh) = self.lock_shard(si);
+            let mut prior_seg = sh.wal_tombstones.remove(key);
+            if let Some(old) = sh.index.remove(key) {
+                sh.bytes -= old.emit_len as u64;
+                sh.revisions -= old.revisions as u64;
+                sh.live_seg_bytes -= old.seg_bytes();
+                prior_seg |= old.touches_segments();
+            }
+            sh.bytes += emitted.len() as u64;
+            sh.revisions += revisions as u64;
+            let part = Part {
+                loc: Loc::Wal,
+                off,
+                len: flen,
+            };
+            sh.index.insert(
+                key.to_string(),
+                Entry::new(part, Some((revisions, emitted.len() as u32)), prior_seg),
+            );
+            Self::cache_insert(&self.opts, &mut sh, key, Arc::new(archive.clone()));
+        }
+        aide_obs::counter("store.append", 1);
+        aide_obs::counter("store.append.bytes", flen as u64);
+        Ok(())
+    }
 }
 
 impl Repository for DiskRepository {
@@ -608,29 +879,27 @@ impl Repository for DiskRepository {
         let si = shard_of(key);
         let mut last_fail: Option<ReadFail> = None;
         for _attempt in 0..4 {
-            let (ver, loc, off, len) = {
+            let (ver, chain) = {
                 let (_held, mut sh) = self.lock_shard(si);
-                let e = match sh.index.get(key) {
-                    None => return Ok(None),
-                    Some(e) => e.clone(),
-                };
                 sh.cache_tick += 1;
                 let tick = sh.cache_tick;
                 if let Some(slot) = sh.cache.get_mut(key) {
                     slot.tick = tick;
                     return Ok(Some(slot.archive.clone()));
                 }
-                (sh.version, e.loc, e.off, e.len)
+                match sh.index.get(key) {
+                    None => return Ok(None),
+                    Some(e) => (sh.version, e.chain.clone()),
+                }
             };
-            let path = match loc {
-                Loc::Wal => self.wal_path(),
-                Loc::Seg(id) => self.seg_path(si, id),
-            };
-            match self.read_archive(&path, off, len, key) {
+            match self.read_chain(si, &chain, key) {
                 Ok(archive) => {
                     let handle = Arc::new(archive);
                     let (_held, mut sh) = self.lock_shard(si);
-                    if sh.version == ver && sh.index.contains_key(key) {
+                    // Cache only the chain the index still holds: a store
+                    // that landed during the read has moved its tail.
+                    let current = sh.index.get(key).and_then(Entry::tail);
+                    if sh.version == ver && current == chain.last().copied() {
                         Self::cache_insert(&self.opts, &mut sh, key, handle.clone());
                     }
                     return Ok(Some(handle));
@@ -665,45 +934,10 @@ impl Repository for DiskRepository {
     }
 
     fn store(&self, key: &str, archive: &Archive) -> Result<(), RepoError> {
-        let emitted = emit(archive);
-        let revisions = archive.len() as u32;
-        let payload = frame::store_payload(revisions, &emitted);
-        let buf = frame::encode(frame::OP_STORE, key, &payload);
-        let flen = buf.len() as u32;
         let si = shard_of(key);
-        {
-            let permit = self.wal.begin_commit();
-            let off = self.wal.commit(&permit, &buf)?;
-            let (_held, mut sh) = self.lock_shard(si);
-            let mut prior_seg = sh.wal_tombstones.remove(key);
-            if let Some(old) = sh.index.get(key).cloned() {
-                sh.bytes -= old.emit_len as u64;
-                sh.revisions -= old.revisions as u64;
-                match old.loc {
-                    Loc::Seg(_) => {
-                        sh.live_seg_bytes -= old.len as u64;
-                        prior_seg = true;
-                    }
-                    Loc::Wal => prior_seg = prior_seg || old.prior_seg,
-                }
-            }
-            sh.bytes += emitted.len() as u64;
-            sh.revisions += revisions as u64;
-            sh.index.insert(
-                key.to_string(),
-                Entry {
-                    loc: Loc::Wal,
-                    off,
-                    len: flen,
-                    emit_len: emitted.len() as u32,
-                    revisions,
-                    prior_seg,
-                },
-            );
-            Self::cache_insert(&self.opts, &mut sh, key, Arc::new(archive.clone()));
+        if !self.store_increment(si, key, archive)? {
+            self.store_full(si, key, archive)?;
         }
-        aide_obs::counter("store.append", 1);
-        aide_obs::counter("store.append.bytes", flen as u64);
         self.after_write(si)
     }
 
@@ -715,7 +949,7 @@ impl Repository for DiskRepository {
                 return Ok(false);
             }
         }
-        let buf = frame::encode(frame::OP_REMOVE, key, &[]);
+        let buf = frame::encode(key, &Record::Remove);
         {
             let permit = self.wal.begin_commit();
             self.wal.commit(&permit, &buf)?;
@@ -723,11 +957,8 @@ impl Repository for DiskRepository {
             if let Some(old) = sh.index.remove(key) {
                 sh.bytes -= old.emit_len as u64;
                 sh.revisions -= old.revisions as u64;
-                let had_seg = matches!(old.loc, Loc::Seg(_)) || old.prior_seg;
-                if let Loc::Seg(_) = old.loc {
-                    sh.live_seg_bytes -= old.len as u64;
-                }
-                if had_seg {
+                sh.live_seg_bytes -= old.seg_bytes();
+                if old.touches_segments() {
                     sh.wal_tombstones.insert(key.to_string());
                 }
             }
@@ -844,8 +1075,10 @@ impl CompactorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aide_util::time::Timestamp;
     use aide_util::vfs::MemVfs;
+
+    /// Offset of an append frame's revision count for the key `"k"`.
+    const HEADER_LEN_FOR_TEST: usize = frame::HEADER_LEN + 1;
 
     fn tiny_opts() -> StoreOptions {
         StoreOptions {
@@ -1024,6 +1257,260 @@ mod tests {
         }
         let r2 = open_mem(&vfs);
         assert_eq!(r2.stats().unwrap(), r.stats().unwrap());
+    }
+
+    /// Loads `key`, checks in `text` and stores it — the Remember path.
+    fn checkin(r: &DiskRepository, key: &str, text: &str, date: u64) -> Archive {
+        let mut a = (*r.load(key).unwrap().unwrap()).clone();
+        a.checkin(text, "me", "edit", Timestamp(date)).unwrap();
+        r.store(key, &a).unwrap();
+        a
+    }
+
+    fn page(rev: u64) -> String {
+        let body: String = (0..12)
+            .map(|i| format!("stable line {i} of the page\n"))
+            .collect();
+        format!("{body}revision {rev} of the page\n")
+    }
+
+    fn roomy_opts() -> StoreOptions {
+        StoreOptions {
+            checkpoint_wal_bytes: 1 << 20,
+            ..tiny_opts()
+        }
+    }
+
+    #[test]
+    fn checkins_append_increments_that_reload_identically() {
+        use aide_rcs::repo::MemRepository;
+        let vfs = MemVfs::shared();
+        let r = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        let mem = MemRepository::new();
+        let mut a = Archive::create("d", &page(1), "me", "init", Timestamp(100));
+        for rev in 2..=8 {
+            a.checkin(&page(rev), "me", "edit", Timestamp(100 + rev))
+                .unwrap();
+        }
+        r.store("k", &a).unwrap();
+        mem.store("k", &a).unwrap();
+        assert_eq!(r.chain_locations("k"), vec![None]);
+        for rev in 9..=11 {
+            a = checkin(&r, "k", &page(rev), 100 + rev);
+            mem.store("k", &a).unwrap();
+        }
+        assert_eq!(r.chain_locations("k"), vec![None; 4], "base + 3 increments");
+        assert_eq!(r.stats().unwrap(), mem.stats().unwrap());
+        assert_eq!(r.sizes().unwrap(), mem.sizes().unwrap());
+        drop(r);
+        let r2 = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        assert_eq!(r2.chain_locations("k").len(), 4);
+        assert_eq!(emit(&r2.load("k").unwrap().unwrap()), emit(&a));
+        assert_eq!(r2.stats().unwrap(), mem.stats().unwrap());
+    }
+
+    #[test]
+    fn chains_fold_once_increments_outweigh_their_base() {
+        let vfs = MemVfs::shared();
+        let r = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        r.store(
+            "k",
+            &Archive::create("d", &page(1), "me", "init", Timestamp(100)),
+        )
+        .unwrap();
+        let mut longest = 0;
+        let mut folds = 0;
+        for rev in 2..=40 {
+            let before = r.chain_locations("k").len();
+            checkin(&r, "k", &page(rev), 100 + rev);
+            let after = r.chain_locations("k").len();
+            longest = longest.max(after);
+            if after == 1 {
+                assert!(before > 1, "a fold follows increments");
+                folds += 1;
+            }
+        }
+        // Each increment carries the whole head, so a one-revision base
+        // folds at once while a deep one carries several increments.
+        assert!(folds >= 3, "folds: {folds}");
+        assert!(longest >= 3, "longest chain: {longest}");
+        let r2 = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        assert_eq!(r2.load("k").unwrap().unwrap().len(), 40);
+    }
+
+    /// Readers thrash a one-entry cache while a writer checks in: a load
+    /// that read a chain before a store landed must not cache the old
+    /// archive, or the writer's next increment would extend a stale
+    /// prior and the reopened store would disagree with what was stored.
+    #[test]
+    fn racing_loads_never_cache_a_superseded_chain() {
+        let vfs = MemVfs::shared();
+        let opts = StoreOptions {
+            cache_entries: 1,
+            ..roomy_opts()
+        };
+        let r = Arc::new(DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", opts).unwrap());
+        let si = shard_of("k");
+        let other = (0..)
+            .map(|i| format!("o{i}"))
+            .find(|o| shard_of(o) == si)
+            .unwrap();
+        r.store(
+            "k",
+            &Archive::create("d", &page(1), "me", "init", Timestamp(100)),
+        )
+        .unwrap();
+        r.store(&other, &archive("other\n")).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let last = std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                        r.load("k").unwrap();
+                        r.load(&other).unwrap();
+                    }
+                });
+            }
+            let mut last = None;
+            for rev in 2..=300 {
+                last = Some(checkin(&r, "k", &page(rev), 100 + rev));
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            last.unwrap()
+        });
+        assert_eq!(*r.load("k").unwrap().unwrap(), last);
+        let r2 = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", opts).unwrap();
+        assert_eq!(*r2.load("k").unwrap().unwrap(), last);
+    }
+
+    #[test]
+    fn one_more_revision_with_a_different_history_writes_a_full_record() {
+        let vfs = MemVfs::shared();
+        let r = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        let mut stored = Archive::create("d", &page(1), "me", "init", Timestamp(100));
+        stored
+            .checkin(&page(2), "me", "edit", Timestamp(101))
+            .unwrap();
+        r.store("k", &stored).unwrap();
+        assert!(r.load("k").unwrap().is_some(), "prior is cached");
+        // revisions + 1, but revision 1.2 differs from the stored one.
+        let mut other = Archive::create("d", &page(1), "me", "init", Timestamp(100));
+        other
+            .checkin("a different 1.2\n", "me", "edit", Timestamp(101))
+            .unwrap();
+        other
+            .checkin(&page(3), "me", "edit", Timestamp(102))
+            .unwrap();
+        assert_eq!(other.len(), stored.len() + 1);
+        r.store("k", &other).unwrap();
+        assert_eq!(
+            r.chain_locations("k"),
+            vec![None],
+            "a full record, not an increment"
+        );
+        drop(r);
+        let r2 = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        assert_eq!(*r2.load("k").unwrap().unwrap(), other);
+        assert_eq!(emit(&r2.load("k").unwrap().unwrap()), emit(&other));
+    }
+
+    #[test]
+    fn compaction_copies_a_segment_base_under_wal_increments() {
+        let vfs = MemVfs::shared();
+        let opts = StoreOptions {
+            cache_entries: 1,
+            ..roomy_opts()
+        };
+        let r = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", opts).unwrap();
+        let mut a = Archive::create("d", &page(1), "me", "init", Timestamp(100));
+        for rev in 2..=6 {
+            a.checkin(&page(rev), "me", "edit", Timestamp(100 + rev))
+                .unwrap();
+        }
+        r.store("k", &a).unwrap();
+        r.checkpoint().unwrap();
+        a = checkin(&r, "k", &page(7), 107);
+        let shape = r.chain_locations("k");
+        assert!(shape[0].is_some() && shape[1].is_none(), "{shape:?}");
+        let si = shard_of("k");
+        r.compact_shard(si).unwrap();
+        let shape = r.chain_locations("k");
+        assert!(shape[0].is_some() && shape[1].is_none(), "{shape:?}");
+        // Push "k" out of the one-entry cache so the load reads the chain.
+        let other = (0..)
+            .map(|i| format!("o{i}"))
+            .find(|o| shard_of(o) == si)
+            .unwrap();
+        r.store(&other, &archive("other\n")).unwrap();
+        assert_eq!(*r.load("k").unwrap().unwrap(), a);
+        drop(r);
+        let r2 = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", opts).unwrap();
+        assert_eq!(*r2.load("k").unwrap().unwrap(), a);
+    }
+
+    /// Replays `frames` (appended raw to the WAL) over a store holding
+    /// one deep archive, and reports what a reopened store loads.
+    fn reopen_with_wal_frames(
+        frames: &[Vec<u8>],
+    ) -> (Archive, Result<Option<Arc<Archive>>, RepoError>) {
+        let vfs = MemVfs::shared();
+        let mut a = Archive::create("d", &page(1), "me", "init", Timestamp(100));
+        for rev in 2..=4 {
+            a.checkin(&page(rev), "me", "edit", Timestamp(100 + rev))
+                .unwrap();
+        }
+        {
+            let r =
+                DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+            r.store("k", &a).unwrap();
+        }
+        for f in frames {
+            vfs.append("store/wal", f).unwrap();
+        }
+        let r = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "store", roomy_opts()).unwrap();
+        (a, r.load("k"))
+    }
+
+    fn increment_frame(a: &Archive, revisions: u32) -> Vec<u8> {
+        let mut next = a.clone();
+        next.checkin(&page(revisions as u64), "me", "edit", Timestamp(200))
+            .unwrap();
+        let (meta, reverse) = next.checkin_since(a).unwrap();
+        frame::encode(
+            "k",
+            &Record::Append(Increment {
+                revisions,
+                emit_len: emitted_len(&next) as u32,
+                date: meta.date.0,
+                author: &meta.author,
+                log: &meta.log,
+                delta: &reverse.to_text(),
+                head: next.head_text(),
+            }),
+        )
+    }
+
+    #[test]
+    fn replay_applies_the_next_increment_skips_old_ones_and_flags_gaps() {
+        let (a, _) = reopen_with_wal_frames(&[]);
+        let inc5 = increment_frame(&a, 5);
+        // The next revision applies; a duplicate of it is skipped.
+        let (_, loaded) = reopen_with_wal_frames(&[inc5.clone(), inc5.clone()]);
+        let loaded = loaded.unwrap().unwrap();
+        assert_eq!(loaded.len(), 5);
+        assert_eq!(loaded.head_text(), page(5));
+        // Revision 6 on a key at 4: a gap, reported at load.
+        let mut gap = increment_frame(&a, 5);
+        let n = HEADER_LEN_FOR_TEST;
+        gap[n..n + 4].copy_from_slice(&6u32.to_le_bytes());
+        let crc_at = gap.len() - 8;
+        let crc = fnv1a64(&gap[1..crc_at]);
+        gap[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        let (_, loaded) = reopen_with_wal_frames(&[gap]);
+        assert!(
+            matches!(loaded, Err(RepoError::Corrupt { .. })),
+            "{loaded:?}"
+        );
     }
 
     #[test]

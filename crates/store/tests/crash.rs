@@ -13,6 +13,13 @@
 //! record ever surfaces, no acknowledged write is ever lost, no removed
 //! key is ever resurrected.
 //!
+//! `Checkin` ops load a key, check one revision in and store it, so
+//! most of them append an increment to the key's record chain rather
+//! than a whole archive: kill points land inside increment appends,
+//! inside checkpoints that relocate the WAL part of a chain, inside a
+//! compaction whose key has its base in a segment and increments in the
+//! WAL, on the remove of a chained key, and on its re-creation.
+//!
 //! Two companion properties run the softer fault models: short reads
 //! must be invisible (read loops), and a lying disk (`fsync_loss`) may
 //! lose writes but recovery must still produce an internally consistent
@@ -22,9 +29,10 @@
 //! (matched model index + state hash); ci.sh runs the suite twice and
 //! `cmp`s the dumps to pin recovery determinism.
 
+use aide_obs::MetricsRegistry;
 use aide_rcs::archive::Archive;
 use aide_rcs::format::emit;
-use aide_rcs::repo::Repository;
+use aide_rcs::repo::{RepoError, Repository};
 use aide_store::{DiskRepository, StoreOptions, STORE_SHARDS};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
@@ -47,6 +55,8 @@ fn tiny_opts() -> StoreOptions {
 #[derive(Debug, Clone, Copy)]
 enum WorkOp {
     Store(u8, u8),
+    /// Load key `k`, check in its next revision, store it.
+    Checkin(u8),
     Remove(u8),
     Checkpoint,
     CompactAll,
@@ -54,9 +64,10 @@ enum WorkOp {
 
 /// The deterministic workload: enough stores to force checkpoints at
 /// the tiny thresholds, overwrites to create dead segment bytes,
-/// removes (including of segment-resident keys) to exercise tombstones,
-/// and explicit maintenance so kill points land inside checkpoint and
-/// compaction too.
+/// removes (including of segment-resident and chained keys) to exercise
+/// tombstones, check-ins that grow record chains across checkpoints and
+/// compactions, and explicit maintenance so kill points land inside
+/// checkpoint and compaction too.
 fn workload() -> Vec<WorkOp> {
     use WorkOp::*;
     vec![
@@ -65,22 +76,36 @@ fn workload() -> Vec<WorkOp> {
         Store(2, 3),
         Store(3, 4),
         Checkpoint,
+        Checkin(2), // increment on a segment-resident base
+        CompactAll, // base in a segment, increment in the WAL
+        Checkin(2),
         Store(0, 5), // overwrite a segment-resident key
+        Checkin(0),  // increment on a WAL-resident base
         Store(4, 6),
         Remove(1), // tombstone for a segment-resident key
+        Checkin(3),
+        Checkin(3),
         Store(5, 7),
-        Store(2, 8),
+        Store(2, 8), // a different history over a chain: full record
         Checkpoint,
         CompactAll,
+        Checkin(0),
         Store(6, 9),
-        Remove(0),
+        Checkin(0),
+        Remove(0),    // remove a chained key
         Store(1, 10), // re-store a removed key
+        Checkin(1),   // ...and chain onto the re-created key
+        Checkin(1),
         Store(7, 11),
+        Checkin(4),
         Checkpoint,
         Store(3, 12),
+        Checkin(3),
         Remove(5),
         CompactAll,
         Store(0, 13),
+        Checkin(0),
+        Checkin(7),
     ]
 }
 
@@ -108,36 +133,68 @@ fn archive_for(k: u8, seed: u8) -> Archive {
     a
 }
 
+/// The text a `Checkin` of key `k` stores as revision `rev`.
+fn checkin_text(k: u8, rev: usize) -> String {
+    format!("doc {k}\nrevision {rev}\npadding so frames have some size\n")
+}
+
+/// `archive` with its next revision checked in, as op `i` makes it.
+fn checked_in(archive: &Archive, k: u8, i: usize) -> Archive {
+    let mut next = archive.clone();
+    let out = next
+        .checkin(
+            &checkin_text(k, archive.len() + 1),
+            "w3newer",
+            "checkin",
+            Timestamp(2_000 + i as u64),
+        )
+        .unwrap();
+    assert!(out.is_new(), "every check-in adds a revision");
+    next
+}
+
 /// Model states: `snap[i]` is the key→`,v` map after the first `i` ops.
 fn model_snapshots(ops: &[WorkOp]) -> Vec<BTreeMap<String, String>> {
     let mut snaps = vec![BTreeMap::new()];
-    let mut cur: BTreeMap<String, String> = BTreeMap::new();
-    for op in ops {
+    let mut cur: BTreeMap<String, Archive> = BTreeMap::new();
+    for (i, op) in ops.iter().enumerate() {
         match *op {
             WorkOp::Store(k, seed) => {
-                cur.insert(key_for(k), emit(&archive_for(k, seed)));
+                cur.insert(key_for(k), archive_for(k, seed));
+            }
+            WorkOp::Checkin(k) => {
+                let next = checked_in(&cur[&key_for(k)], k, i);
+                cur.insert(key_for(k), next);
             }
             WorkOp::Remove(k) => {
                 cur.remove(&key_for(k));
             }
             WorkOp::Checkpoint | WorkOp::CompactAll => {}
         }
-        snaps.push(cur.clone());
+        snaps.push(cur.iter().map(|(k, a)| (k.clone(), emit(a))).collect());
     }
     snaps
+}
+
+/// Applies op `i` of the workload.
+fn apply(repo: &DiskRepository, i: usize, op: WorkOp) -> Result<(), RepoError> {
+    match op {
+        WorkOp::Store(k, seed) => repo.store(&key_for(k), &archive_for(k, seed)),
+        WorkOp::Checkin(k) => repo.load(&key_for(k)).and_then(|found| {
+            let prior = found.expect("check-ins target stored keys");
+            repo.store(&key_for(k), &checked_in(&prior, k, i))
+        }),
+        WorkOp::Remove(k) => repo.remove(&key_for(k)).map(|_| ()),
+        WorkOp::Checkpoint => repo.checkpoint(),
+        WorkOp::CompactAll => (0..STORE_SHARDS).try_for_each(|si| repo.compact_shard(si)),
+    }
 }
 
 /// Applies the workload until the first error, returning how many ops
 /// were fully acknowledged.
 fn run_until_failure(repo: &DiskRepository, ops: &[WorkOp]) -> usize {
     for (i, op) in ops.iter().enumerate() {
-        let result = match *op {
-            WorkOp::Store(k, seed) => repo.store(&key_for(k), &archive_for(k, seed)).map(|_| ()),
-            WorkOp::Remove(k) => repo.remove(&key_for(k)).map(|_| ()),
-            WorkOp::Checkpoint => repo.checkpoint(),
-            WorkOp::CompactAll => (0..STORE_SHARDS).try_for_each(|si| repo.compact_shard(si)),
-        };
-        if result.is_err() {
+        if apply(repo, i, *op).is_err() {
             return i;
         }
     }
@@ -181,16 +238,43 @@ fn state_hash(map: &BTreeMap<String, String>) -> u64 {
 }
 
 /// Counts the durability ops the full workload performs when nothing
-/// fails — the kill-point enumeration space.
+/// fails — the kill-point enumeration space — and checks that the
+/// workload reaches the chain shapes the suite is meant to cover.
 fn count_durability_ops() -> u64 {
     let vfs = FaultVfs::shared(FaultScript::honest(SEED));
     let repo = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "st", tiny_opts()).unwrap();
     let ops = workload();
-    assert_eq!(
-        run_until_failure(&repo, &ops),
-        ops.len(),
-        "honest run must succeed"
-    );
+    let registry = Arc::new(MetricsRegistry::new());
+    let previous = aide_obs::install(registry.clone());
+    let mut split_before_compaction = false;
+    let mut chained_remove = false;
+    for (i, op) in ops.iter().enumerate() {
+        let chains: Vec<Vec<Option<u32>>> =
+            (0..8).map(|k| repo.chain_locations(&key_for(k))).collect();
+        match *op {
+            WorkOp::CompactAll => {
+                split_before_compaction |= chains
+                    .iter()
+                    .any(|c| c.first().is_some_and(Option::is_some) && c.contains(&None));
+            }
+            WorkOp::Remove(k) => chained_remove |= chains[k as usize].len() > 1,
+            _ => {}
+        }
+        apply(&repo, i, *op).unwrap();
+    }
+    match previous {
+        Some(p) => drop(aide_obs::install(p)),
+        None => drop(aide_obs::uninstall()),
+    }
+    let increments = registry
+        .snapshot()
+        .counters
+        .get("store.append.increment")
+        .copied()
+        .unwrap_or(0);
+    assert!(increments >= 8, "only {increments} increments appended");
+    assert!(split_before_compaction, "no compaction met a split chain");
+    assert!(chained_remove, "no remove of a chained key");
     vfs.durability_ops()
 }
 

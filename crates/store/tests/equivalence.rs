@@ -2,7 +2,9 @@
 //! identical to `MemRepository`.
 //!
 //! The property: apply one random operation sequence — stores,
-//! removes, explicit checkpoints and compactions — to both backends
+//! check-ins (load, check one revision in, store: the disk backend
+//! appends these as increments to the key's record chain), removes,
+//! explicit checkpoints and compactions — to both backends
 //! (the disk one over `MemVfs` with thresholds shrunk so checkpoints
 //! and compactions actually fire mid-sequence), then compare every
 //! observable the `Repository` trait exposes: `keys`, `stats`, `sizes`,
@@ -10,6 +12,7 @@
 //! reopen the disk backend from its files alone (recovery path) and
 //! require the same observables again.
 
+use aide_obs::MetricsRegistry;
 use aide_rcs::archive::Archive;
 use aide_rcs::format::emit;
 use aide_rcs::repo::{MemRepository, Repository};
@@ -76,36 +79,61 @@ fn observe(repo: &dyn Repository) -> Fingerprint {
     (keys, stats, sizes, texts)
 }
 
+/// Applies one op sequence to both backends; `kind` picks the op:
+/// 0–2 store, 3 remove, 4 checkpoint, 5 compact a shard, 6–8 check-in.
+fn run_ops(
+    disk: &DiskRepository,
+    mem: &MemRepository,
+    ops: Vec<(u8, u8, u8)>,
+) -> Result<(), TestCaseError> {
+    for (step, (kind, k, seed)) in ops.into_iter().enumerate() {
+        match kind {
+            // Weight writes heaviest: they drive checkpoints.
+            0..=2 => {
+                let a = archive_for(k, seed);
+                disk.store(&key_for(k), &a).unwrap();
+                mem.store(&key_for(k), &a).unwrap();
+            }
+            3 => {
+                let d = disk.remove(&key_for(k)).unwrap();
+                let m = mem.remove(&key_for(k)).unwrap();
+                prop_assert_eq!(d, m, "remove acknowledgements diverged");
+            }
+            4 => disk.checkpoint().unwrap(),
+            5 => disk.compact_shard(seed as usize % STORE_SHARDS).unwrap(),
+            _ => {
+                let d = disk.load(&key_for(k)).unwrap();
+                let m = mem.load(&key_for(k)).unwrap();
+                prop_assert_eq!(&d, &m, "loads diverged before a check-in");
+                if let Some(prior) = d {
+                    let mut a = (*prior).clone();
+                    a.checkin(
+                        &format!("page {k}\ncheck-in {step} seed {seed}\nbody line one\n"),
+                        "tracker",
+                        "changed",
+                        Timestamp(10_000 + step as u64),
+                    )
+                    .unwrap();
+                    disk.store(&key_for(k), &a).unwrap();
+                    mem.store(&key_for(k), &a).unwrap();
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn disk_and_mem_backends_are_observationally_identical(
-        ops in proptest::collection::vec((0u8..6, 0u8..8, 0u8..16), 1..40)
+        ops in proptest::collection::vec((0u8..9, 0u8..8, 0u8..16), 1..48)
     ) {
         let vfs = MemVfs::shared();
         let disk = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "repo", tiny_opts()).unwrap();
         let mem = MemRepository::new();
-
-        for (kind, k, seed) in ops {
-            match kind {
-                // Weight stores heaviest: they drive checkpoints.
-                0..=2 => {
-                    let a = archive_for(k, seed);
-                    disk.store(&key_for(k), &a).unwrap();
-                    mem.store(&key_for(k), &a).unwrap();
-                }
-                3 => {
-                    let d = disk.remove(&key_for(k)).unwrap();
-                    let m = mem.remove(&key_for(k)).unwrap();
-                    prop_assert_eq!(d, m, "remove acknowledgements diverged");
-                }
-                4 => disk.checkpoint().unwrap(),
-                _ => {
-                    disk.compact_shard(seed as usize % STORE_SHARDS).unwrap();
-                }
-            }
-        }
+        run_ops(&disk, &mem, ops)?;
 
         prop_assert_eq!(observe(&disk), observe(&mem), "live observables diverged");
 
@@ -116,4 +144,40 @@ proptest! {
             DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "repo", tiny_opts()).unwrap();
         prop_assert_eq!(observe(&reopened), observe(&mem), "recovered observables diverged");
     }
+}
+
+/// The check-ins above really take the increment path: a fixed run of
+/// check-ins across checkpoints and compactions appends increments
+/// (`store.append.increment`) and still matches `MemRepository`.
+#[test]
+fn checkins_append_increments() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let previous = aide_obs::install(registry.clone());
+    let vfs = MemVfs::shared();
+    let disk = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "repo", tiny_opts()).unwrap();
+    let mem = MemRepository::new();
+    let mut ops = vec![(0, 1, 5), (0, 2, 4), (0, 3, 2)];
+    for round in 0..6u8 {
+        ops.extend([(6, 1, round), (7, 2, round), (8, 3, round)]);
+        ops.push(if round % 2 == 0 {
+            (4, 0, 0)
+        } else {
+            (5, 0, round)
+        });
+    }
+    run_ops(&disk, &mem, ops).unwrap();
+    match previous {
+        Some(p) => drop(aide_obs::install(p)),
+        None => drop(aide_obs::uninstall()),
+    }
+    let increments = registry
+        .snapshot()
+        .counters
+        .get("store.append.increment")
+        .copied();
+    assert!(increments.unwrap_or(0) >= 6, "increments: {increments:?}");
+    assert_eq!(observe(&disk), observe(&mem));
+    drop(disk);
+    let reopened = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "repo", tiny_opts()).unwrap();
+    assert_eq!(observe(&reopened), observe(&mem));
 }
